@@ -27,10 +27,35 @@ NodeId ChildToward(const IPTree& tree, NodeId ancestor, NodeId leaf) {
 
 }  // namespace
 
+LeafInteriorSearch::LeafInteriorSearch(const IPTree& tree)
+    : tree_(tree), engine_(tree.graph()) {}
+
+void LeafInteriorSearch::Start(const QuerySource& source, NodeId leaf) {
+  leaf_ = leaf;
+  sources_.clear();
+  if (source.door != kInvalidId) {
+    sources_.push_back({source.door, 0.0});
+  } else {
+    const Venue& venue = tree_.venue();
+    for (DoorId u : venue.DoorsOf(source.point->partition)) {
+      sources_.push_back({u, venue.DistanceToDoor(*source.point, u)});
+    }
+  }
+  engine_.Start(sources_);
+}
+
+SettledDoor LeafInteriorSearch::SettleNext() {
+  const IPTree& tree = tree_;
+  const NodeId leaf = leaf_;
+  return engine_.SettleNextWhere([&tree, leaf](const D2DEdge& e) {
+    return tree.LeafOfPartition(e.via) == leaf;
+  });
+}
+
 IPDistanceQuery::IPDistanceQuery(const IPTree& tree,
                                  const DistanceQueryOptions& options,
                                  DistanceCache* cache)
-    : tree_(tree), options_(options), cache_(cache), dijkstra_(tree.graph()) {}
+    : tree_(tree), options_(options), cache_(cache), interior_(tree) {}
 
 void IPDistanceQuery::AccessDoorIndexMap(NodeId n, NodeId m,
                                          std::vector<int32_t>& out) const {
@@ -182,67 +207,83 @@ AscentDistances IPDistanceQuery::GetDistances(const QuerySource& source,
   return out;
 }
 
-double IPDistanceQuery::LocalDistance(const QuerySource& s,
-                                      const IndoorPoint& t) const {
+IPDistanceQuery::LocalRoute IPDistanceQuery::LocalBest(
+    const QuerySource& s, NodeId leaf_id, const std::vector<double>& seed,
+    const QuerySource& t, bool resume) const {
   const Venue& venue = tree_.venue();
-  double best = kInfDistance;
+  const TreeNode& leaf = tree_.node(leaf_id);
+  LocalRoute best;
+  if (s.point != nullptr && t.point != nullptr &&
+      s.point->partition == t.point->partition) {
+    best.distance = venue.IntraPartitionDistance(
+        t.point->partition, s.point->position, t.point->position);
+  }
+  // A door target is its own single door, reached with a zero leg.
+  const Span<const DoorId> t_doors =
+      t.point != nullptr ? venue.DoorsOf(t.point->partition)
+                         : Span<const DoorId>(&t.door, 1);
+  const auto leg = [&](DoorId d) {
+    return t.point != nullptr ? venue.DistanceToDoor(*t.point, d) : 0.0;
+  };
 
-  std::vector<DijkstraSource> sources;
-  if (s.door != kInvalidId) {
-    sources.push_back({s.door, 0.0});
-    if (venue.DoorTouches(s.door, t.partition)) {
-      best = venue.DistanceToDoor(t, s.door);
-    }
-  } else {
-    if (s.point->partition == t.partition) {
-      best = venue.IntraPartitionDistance(t.partition, s.point->position,
-                                          t.position);
-    }
-    for (DoorId u : venue.DoorsOf(s.point->partition)) {
-      sources.push_back({u, venue.DistanceToDoor(*s.point, u)});
+  // Term B: routes that leave through access door c. The sum associates as
+  // seed + (cell + leg), the ObjectIndex row form, so a kNN scan of the
+  // source's own leaf reports exactly these distances.
+  for (DoorId d : t_doors) {
+    const int row = IPTree::IndexOf(leaf.doors, d);
+    VIPTREE_DCHECK(row >= 0);
+    const Span<const float> cells = leaf.dist.row(static_cast<size_t>(row));
+    const double d_leg = leg(d);
+    for (size_t c = 0; c < seed.size(); ++c) {
+      if (seed[c] == kInfDistance) continue;
+      const double cand = seed[c] + (cells[c] + d_leg);
+      if (cand < best.distance) {
+        best = LocalRoute{cand, d, static_cast<int>(c)};
+      }
     }
   }
-
-  const Span<const DoorId> targets = venue.DoorsOf(t.partition);
-  dijkstra_.Start(sources);
-  dijkstra_.RunToTargets(targets);
-  for (DoorId dt : targets) {
-    if (!dijkstra_.Settled(dt)) continue;
-    best = std::min(best,
-                    dijkstra_.DistanceTo(dt) + venue.DistanceToDoor(t, dt));
+  // Term A: routes that stay inside the leaf. Doors an earlier call of a
+  // resumed search settled count first; then the search runs only while a
+  // door could still beat the best candidate.
+  if (!resume) interior_.Start(s, leaf_id);
+  for (DoorId d : t_doors) {
+    const double cand = interior_.DistanceTo(d) + leg(d);
+    if (cand < best.distance) best = LocalRoute{cand, d, -1};
+  }
+  const auto touches_t = [&](DoorId d) {
+    return t.point != nullptr ? venue.DoorTouches(d, t.point->partition)
+                              : d == t.door;
+  };
+  while (interior_.NextDistance() < best.distance) {
+    const SettledDoor u = interior_.SettleNext();
+    if (!touches_t(u.door)) continue;
+    const double cand = u.distance + leg(u.door);
+    if (cand < best.distance) best = LocalRoute{cand, u.door, -1};
   }
   return best;
+}
+
+double IPDistanceQuery::LocalDistance(const IndoorPoint& s,
+                                      const IndoorPoint& t) const {
+  const NodeId leaf = tree_.LeafOfPartition(s.partition);
+  SeedLeaf(QuerySource::Point(s), tree_.node(leaf), seed_, seed_back_);
+  return LocalBest(QuerySource::Point(s), leaf, seed_, QuerySource::Point(t),
+                   /*resume=*/false)
+      .distance;
 }
 
 void IPDistanceQuery::LocalDistanceMulti(const IndoorPoint& s,
                                          Span<const IndoorPoint> targets,
                                          double* out) const {
-  const Venue& venue = tree_.venue();
-  // Seed exactly like the point branch of LocalDistance, once.
-  std::vector<DijkstraSource> sources;
-  for (DoorId u : venue.DoorsOf(s.partition)) {
-    sources.push_back({u, venue.DistanceToDoor(s, u)});
-  }
-  dijkstra_.Start(Span<const DijkstraSource>(sources.data(), sources.size()));
+  const NodeId leaf = tree_.LeafOfPartition(s.partition);
+  SeedLeaf(QuerySource::Point(s), tree_.node(leaf), seed_, seed_back_);
   for (size_t k = 0; k < targets.size(); ++k) {
-    const IndoorPoint& t = targets[k];
-    double best = kInfDistance;
-    if (s.partition == t.partition) {
-      best = venue.IntraPartitionDistance(t.partition, s.position, t.position);
-    }
-    // Resume the shared search: each call extends the same deterministic
-    // pop sequence, so DistanceTo(dt) matches what a fresh run stopped at
-    // this target set would report, bit for bit. A door every per-query
-    // run would settle (reachable) is settled here too; an unreachable
-    // one is settled in neither.
-    const Span<const DoorId> target_doors = venue.DoorsOf(t.partition);
-    dijkstra_.RunToTargets(target_doors);
-    for (DoorId dt : target_doors) {
-      if (!dijkstra_.Settled(dt)) continue;
-      best = std::min(best,
-                      dijkstra_.DistanceTo(dt) + venue.DistanceToDoor(t, dt));
-    }
-    out[k] = best;
+    VIPTREE_DCHECK(tree_.LeafOfPartition(targets[k].partition) == leaf);
+    // Every target after the first resumes the one interior search: its
+    // settled distances are those a fresh per-query search reports.
+    out[k] = LocalBest(QuerySource::Point(s), leaf, seed_,
+                       QuerySource::Point(targets[k]), /*resume=*/k > 0)
+                 .distance;
   }
 }
 
@@ -250,7 +291,7 @@ double IPDistanceQuery::Distance(const IndoorPoint& s,
                                  const IndoorPoint& t) const {
   const NodeId ls = tree_.LeafOfPartition(s.partition);
   const NodeId lt = tree_.LeafOfPartition(t.partition);
-  if (ls == lt) return LocalDistance(QuerySource::Point(s), t);
+  if (ls == lt) return LocalDistance(s, t);
 
   const NodeId lca = tree_.Lca(ls, lt);
   const NodeId ns = ChildToward(tree_, lca, ls);
@@ -284,7 +325,12 @@ double IPDistanceQuery::DistanceWithAscent(const IndoorPoint& s,
   const NodeId ls = tree_.LeafOfPartition(s.partition);
   VIPTREE_DCHECK(!ascent.chain.empty() && ascent.chain[0] == ls);
   const NodeId lt = tree_.LeafOfPartition(t.partition);
-  if (ls == lt) return LocalDistance(QuerySource::Point(s), t);
+  if (ls == lt) {
+    // The ascent's first row is SeedLeaf(s, ls), the rule's seed.
+    return LocalBest(QuerySource::Point(s), ls, ascent.ad_dist[0],
+                     QuerySource::Point(t), /*resume=*/false)
+        .distance;
+  }
 
   const NodeId lca = tree_.Lca(ls, lt);
   const NodeId ns = ChildToward(tree_, lca, ls);
@@ -339,10 +385,10 @@ double IPDistanceQuery::DoorDistanceUncached(DoorId s, DoorId t) const {
   for (const auto& sl : s_leaves) {
     for (const auto& tl : t_leaves) {
       if (sl.leaf == tl.leaf) {
-        // Same leaf: Dijkstra on the D2D graph (§3.1.1).
-        dijkstra_.Start(s);
-        dijkstra_.RunToTargets(Span<const DoorId>(&t, 1));
-        return dijkstra_.DistanceTo(t);
+        SeedLeaf(QuerySource::Door(s), tree_.node(sl.leaf), seed_, seed_back_);
+        return LocalBest(QuerySource::Door(s), sl.leaf, seed_,
+                         QuerySource::Door(t), /*resume=*/false)
+            .distance;
       }
     }
   }
@@ -549,9 +595,8 @@ void VIPDistanceQuery::DistanceMulti(Span<const IndoorPoint> sources,
                      ChildToward(tree, lca, lt), bits_of(sources[k])});
   }
 
-  // Same-leaf pairs dominate skewed batches (each one is a multi-source
-  // leaf Dijkstra, ~100x a cross-leaf matrix walk), so queries sharing an
-  // exact source point share one incremental Dijkstra run.
+  // Queries sharing an exact source point in a same-leaf group share one
+  // seed and one incremental interior search.
   if (!local_groups.empty()) {
     std::vector<IndoorPoint> local_targets;
     std::vector<double> local_out;
@@ -633,7 +678,7 @@ double VIPDistanceQuery::Distance(const IndoorPoint& s,
   const IPTree& tree = vip_.base();
   const NodeId ls = tree.LeafOfPartition(s.partition);
   const NodeId lt = tree.LeafOfPartition(t.partition);
-  if (ls == lt) return ip_.LocalDistance(QuerySource::Point(s), t);
+  if (ls == lt) return ip_.LocalDistance(s, t);
 
   const NodeId lca = tree.Lca(ls, lt);
   const NodeId ns = ChildToward(tree, lca, ls);

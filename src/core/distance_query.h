@@ -11,11 +11,11 @@
 // indexes (IPTree / VIPTree / ObjectIndex / KeywordIndex) are immutable
 // after construction and only ever read, so any number of engines on any
 // number of threads may share them. Each engine instance holds reusable
-// *mutable* scratch (a Dijkstra engine for same-leaf queries), so one engine
-// instance must not be used from two threads at once — engines are cheap to
-// construct: use one per thread. All query entry points are const, which
-// makes the "reads only touch shared immutable state" half of the contract
-// compiler-checked.
+// *mutable* scratch (a leaf-interior search for same-leaf queries), so one
+// engine instance must not be used from two threads at once — engines are
+// cheap to construct: use one per thread. All query entry points are const,
+// which makes the "reads only touch shared immutable state" half of the
+// contract compiler-checked.
 
 #ifndef VIPTREE_CORE_DISTANCE_QUERY_H_
 #define VIPTREE_CORE_DISTANCE_QUERY_H_
@@ -63,12 +63,48 @@ struct DistanceQueryOptions {
 };
 
 // Ascent-sharing accounting of the coalesced entry points: how many source
-// expansions (cross-leaf descents and same-leaf Dijkstra runs) a batch
-// actually computed vs how many per-query runs it avoided. Folded into the
-// execution planner's PlanStats.
+// expansions (cross-leaf descents, same-leaf seeds with interior searches) a
+// batch actually computed vs how many per-query runs it avoided. Folded into
+// the execution planner's PlanStats.
 struct MultiDistanceStats {
   uint64_t ascents_computed = 0;
   uint64_t ascents_reused = 0;
+};
+
+// Term A of the same-leaf rule (IPDistanceQuery::LocalDistance): a Dijkstra
+// from a source inside leaf N that relaxes only the D2D edges walking
+// through N's own partitions, so it settles the doors of one leaf instead
+// of the venue's. Reusable scratch under the one-engine-per-thread
+// contract.
+class LeafInteriorSearch {
+ public:
+  explicit LeafInteriorSearch(const IPTree& tree);
+
+  // Starts a search inside `leaf` from a door source (offset 0) or from
+  // every door of a point source's partition (offset = the walking leg).
+  void Start(const QuerySource& source, NodeId leaf);
+
+  // Settles the next interior door (id kInvalidId once the interior is
+  // exhausted). The pop sequence is deterministic, so a door's settled
+  // distance does not depend on how far earlier callers ran the search.
+  SettledDoor SettleNext();
+
+  // Lower bound on the interior distance of every door not yet settled
+  // (kInfDistance once the interior is exhausted). Callers stop settling
+  // once it reaches the best candidate they hold: no later door can beat
+  // that candidate, so stopping there never changes a minimum.
+  double NextDistance() { return engine_.NextDistance(); }
+
+  // Interior distance to a settled door (kInfDistance otherwise).
+  double DistanceTo(DoorId d) const { return engine_.DistanceTo(d); }
+  // Door sequence from the source's first door to the settled door `d`.
+  std::vector<DoorId> PathTo(DoorId d) const { return engine_.PathTo(d); }
+
+ private:
+  const IPTree& tree_;
+  NodeId leaf_ = kInvalidId;
+  DijkstraEngine engine_;
+  std::vector<DijkstraSource> sources_;
 };
 
 class IPDistanceQuery {
@@ -101,16 +137,21 @@ class IPDistanceQuery {
                             const AscentDistances& ascent,
                             const IndoorPoint& t) const;
 
-  // Shared same-leaf fallback: Dijkstra on the D2D graph.
-  double LocalDistance(const QuerySource& s, const IndoorPoint& t) const;
+  // The same-leaf rule. For s and t in one leaf N (§2.1, §3.1):
+  //   dist(s, t) = min(A, B, the straight leg when s, t share a partition)
+  //   A = the leaf-interior search (LeafInteriorSearch) from s to t's doors;
+  //   B = min over a in AD(N) and doors d of t's partition of
+  //       seed[a] + (M_N[d][a] + |d, t|), seed = SeedLeaf(s, N).
+  // Exact: a route that leaves N does so through an access door, seed[a]
+  // is dist(s, a), and N's matrix holds global distances. The cost is one
+  // search over N's interior plus |AD(N)| x |doors(t)| matrix reads.
+  double LocalDistance(const IndoorPoint& s, const IndoorPoint& t) const;
 
-  // Same-leaf distances from one source point to many targets over a
-  // single multi-source Dijkstra. The settled distance of a door depends
-  // only on the seeding (the heap pops in a deterministic order and
-  // resuming via RunToTargets extends that same sequence), so every
-  // out[k] is bit-identical to LocalDistance(Point(s), targets[k]) while
-  // the dominant cost — the graph expansion — is paid once per source
-  // instead of once per query. Every target must share the source's leaf.
+  // Same-leaf distances from one source point to many targets: one seed
+  // and one interior search, resumed per target, so every out[k] is
+  // bit-identical to LocalDistance(s, targets[k]) while the seed and the
+  // interior expansion are paid once per source instead of once per
+  // query. Every target must share the source's leaf.
   void LocalDistanceMulti(const IndoorPoint& s, Span<const IndoorPoint> targets,
                           double* out) const;
 
@@ -135,6 +176,24 @@ class IPDistanceQuery {
  private:
   friend class IPPathQuery;
   friend class VIPPathQuery;
+  friend class KnnQuery;  // runs interior_ for its own-leaf scan
+
+  // The winner of the same-leaf rule, kept for path recovery.
+  struct LocalRoute {
+    double distance = kInfDistance;
+    // t-side door of the route; kInvalidId = the straight in-partition leg.
+    DoorId door = kInvalidId;
+    // Column in AD(leaf) of an exit route (term B); -1 = interior (term A).
+    int exit = -1;
+  };
+
+  // Evaluates the same-leaf rule for s and t in `leaf`, with
+  // seed = SeedLeaf(s, leaf). Starts the interior search from s unless
+  // `resume` is set, in which case it continues the search an earlier call
+  // started from the same s.
+  LocalRoute LocalBest(const QuerySource& s, NodeId leaf,
+                       const std::vector<double>& seed, const QuerySource& t,
+                       bool resume) const;
 
   // dist(door -> each access door of `target`), i.e. the last row of
   // GetDistances(Door(door), target); memoized under kIpDoorAscent.
@@ -146,7 +205,9 @@ class IPDistanceQuery {
   DistanceCache* cache_ = nullptr;
   // Per-engine scratch, never shared state: mutable so const query methods
   // stay const while reusing the arrays (see the thread-safety contract).
-  mutable DijkstraEngine dijkstra_;
+  mutable LeafInteriorSearch interior_;
+  mutable std::vector<double> seed_;       // same-leaf SeedLeaf output
+  mutable std::vector<PathBack> seed_back_;
   mutable std::vector<int32_t> row_idx_, col_idx_;      // LCA joins
   mutable std::vector<int32_t> step_rows_, step_cols_;  // ascent steps
   mutable std::vector<double> s_ascent_, t_ascent_;     // DoorDistance
@@ -159,7 +220,7 @@ class IPDistanceQuery {
 class VIPDistanceQuery {
  public:
   // `cache` as in IPDistanceQuery; it is also forwarded to the embedded
-  // IP fallback engine. IP and VIP door-pair results are memoized under
+  // IP engine. IP and VIP door-pair results are memoized under
   // distinct kinds (the materialized float matrices can differ from the
   // iterative ascent in the last ulp), so one cache may safely serve both.
   explicit VIPDistanceQuery(const VIPTree& tree,
@@ -222,7 +283,7 @@ class VIPDistanceQuery {
   const VIPTree& vip_;
   DistanceQueryOptions options_;
   DistanceCache* cache_ = nullptr;
-  IPDistanceQuery ip_;  // same-leaf fallback + seeding helpers
+  IPDistanceQuery ip_;  // the same-leaf rule + seeding helpers
   mutable std::vector<int32_t> row_idx_, col_idx_;
   mutable std::vector<double> sdist_, tdist_;
   mutable std::vector<PathBack> sback_, tback_;

@@ -11,10 +11,7 @@ namespace viptree {
 
 KnnQuery::KnnQuery(const IPTree& tree, const ObjectIndex& objects,
                    const DistanceQueryOptions& options, DistanceCache* cache)
-    : tree_(tree),
-      objects_(objects),
-      query_(tree, options, cache),
-      local_dijkstra_(tree.graph()) {}
+    : tree_(tree), objects_(objects), query_(tree, options, cache) {}
 
 std::vector<ObjectResult> KnnQuery::Knn(const IndoorPoint& q, size_t k,
                                         SearchStats* stats) const {
@@ -32,41 +29,34 @@ std::vector<ObjectResult> KnnQuery::WithinRange(const IndoorPoint& q,
                 stats);
 }
 
-void KnnQuery::LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
-                                    std::vector<double>& out) const {
+void KnnQuery::FoldInteriorDistances(const IndoorPoint& q, NodeId leaf,
+                                     std::vector<double>& best) const {
   const Venue& venue = tree_.venue();
   const Span<const ObjectId> objs = objects_.ObjectsInLeaf(leaf);
-  out.assign(objs.size(), kInfDistance);
-  // One multi-source Dijkstra from q covers every object of the leaf; the
-  // search runs on the full D2D graph so routes leaving the leaf are exact.
-  local_sources_.clear();
-  for (DoorId u : venue.DoorsOf(q.partition)) {
-    local_sources_.push_back({u, venue.DistanceToDoor(q, u)});
-  }
-  DijkstraEngine& engine = local_dijkstra_;
-  engine.Start(local_sources_);
-  local_targets_.clear();
-  for (ObjectId o : objs) {
-    for (DoorId d : venue.DoorsOf(objects_.object(o).partition)) {
-      local_targets_.push_back(d);
-    }
-  }
-  std::sort(local_targets_.begin(), local_targets_.end());
-  local_targets_.erase(
-      std::unique(local_targets_.begin(), local_targets_.end()),
-      local_targets_.end());
-  engine.RunToTargets(local_targets_);
   for (size_t i = 0; i < objs.size(); ++i) {
     const IndoorPoint& obj = objects_.object(objs[i]);
     if (obj.partition == q.partition) {
-      out[i] = venue.IntraPartitionDistance(q.partition, q.position,
-                                            obj.position);
+      best[i] = std::min(best[i], venue.IntraPartitionDistance(
+                                      q.partition, q.position, obj.position));
     }
-    for (DoorId d : venue.DoorsOf(obj.partition)) {
-      if (!engine.Settled(d)) continue;
-      out[i] = std::min(out[i],
-                        engine.DistanceTo(d) + venue.DistanceToDoor(obj, d));
+  }
+  // Settle interior doors only while one could still improve some object.
+  LeafInteriorSearch& interior = query_.interior_;
+  double worst = *std::max_element(best.begin(), best.end());
+  interior.Start(QuerySource::Point(q), leaf);
+  while (interior.NextDistance() < worst) {
+    const SettledDoor u = interior.SettleNext();
+    bool improved = false;
+    for (size_t i = 0; i < objs.size(); ++i) {
+      const IndoorPoint& obj = objects_.object(objs[i]);
+      if (!venue.DoorTouches(u.door, obj.partition)) continue;
+      const double cand = u.distance + venue.DistanceToDoor(obj, u.door);
+      if (cand < best[i]) {
+        best[i] = cand;
+        improved = true;
+      }
     }
+    if (improved) worst = *std::max_element(best.begin(), best.end());
   }
 }
 
@@ -227,14 +217,10 @@ std::vector<ObjectResult> KnnQuery::Search(
     // Leaf: exact object distances.
     const Span<const ObjectId> objs = objects_.ObjectsInLeaf(n);
     if (objs.empty()) continue;
-    if (n == q_leaf) {
-      std::vector<double> dists;
-      LocalObjectDistances(q, n, dists);
-      for (size_t i = 0; i < objs.size(); ++i) offer(objs[i], dists[i]);
-      continue;
-    }
     // One contiguous distance row per access door (see ObjectIndex layout):
-    // column-outer order keeps the kernel scanning sequential rows.
+    // column-outer order keeps the kernel scanning sequential rows. In q's
+    // own leaf this is the exit-route term of the same-leaf rule (its
+    // ad_dist is the rule's seed), and the interior term is folded in.
     const std::vector<double>& q_to_ad = ensure_ad_dist(n);
     leaf_best.assign(objs.size(), kInfDistance);
     for (size_t col = 0; col < node.access_doors.size(); ++col) {
@@ -247,6 +233,7 @@ std::vector<ObjectResult> KnnQuery::Search(
                           objects_.DoorDistances(n, col).data(), q_to_door,
                           objs.size());
     }
+    if (n == q_leaf) FoldInteriorDistances(q, n, leaf_best);
     if (collect_all) {
       // Range mode: batch-filter the leaf against the radius instead of
       // offering objects one by one.

@@ -102,6 +102,14 @@ class KnnQuery {
                   stats);
   }
 
+  // RangeFiltered with the root ascent precomputed (see KnnWithAscent).
+  std::vector<ObjectResult> RangeFilteredWithAscent(
+      const IndoorPoint& q, double radius, const Filters& filters,
+      const AscentDistances& ascent, SearchStats* stats = nullptr) const {
+    return Search(q, std::numeric_limits<size_t>::max(), radius, &filters,
+                  stats, &ascent);
+  }
+
  private:
   // Shared branch-and-bound: best-first traversal collecting either the k
   // nearest or everything within a fixed radius. `precomputed`, when set,
@@ -111,19 +119,15 @@ class KnnQuery {
       const Filters* filters = nullptr, SearchStats* stats = nullptr,
       const AscentDistances* precomputed = nullptr) const;
 
-  // Exact distances from q to the objects of q's own leaf (one Dijkstra).
-  void LocalObjectDistances(const IndoorPoint& q, NodeId leaf,
-                            std::vector<double>& out) const;
+  // Term A of the same-leaf rule (IPDistanceQuery::LocalDistance) for the
+  // objects of q's own leaf: folds the interior-route and straight-leg
+  // distances into `best`, which already holds the exit-route term.
+  void FoldInteriorDistances(const IndoorPoint& q, NodeId leaf,
+                             std::vector<double>& best) const;
 
   const IPTree& tree_;
   const ObjectIndex& objects_;
   IPDistanceQuery query_;
-  // Reused by LocalObjectDistances so the kNN hot path does not rebuild a
-  // Dijkstra engine (heap + per-door arrays) per leaf scan; mutable scratch
-  // under the one-engine-per-thread contract, like query_'s internals.
-  mutable DijkstraEngine local_dijkstra_;
-  mutable std::vector<DijkstraSource> local_sources_;
-  mutable std::vector<DoorId> local_targets_;
   mutable std::vector<int32_t> bound_rows_, bound_cols_;  // Lemma 8/9
 };
 

@@ -289,15 +289,7 @@ SnapshotQuery::SnapshotQuery(const IPTree& tree,
 
 std::vector<ObjectResult> SnapshotQuery::Knn(const IndoorPoint& q, size_t k,
                                              SearchStats* stats) const {
-  SearchStats local;
-  KnnQuery::Filters filters;
-  const ObjectSnapshot* snap = snapshot_.get();
-  filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
-  std::vector<ObjectResult> base = knn_.KnnFiltered(q, k, filters, &local);
-  std::vector<ObjectResult> out = MergeOverlay(std::move(base), q, k,
-                                               kInfDistance, nullptr, &local);
-  if (stats != nullptr) *stats = local;
-  return out;
+  return KnnWithAscent(q, k, knn_.ComputeAscent(q), stats);
 }
 
 std::vector<ObjectResult> SnapshotQuery::KnnWithAscent(
@@ -309,8 +301,8 @@ std::vector<ObjectResult> SnapshotQuery::KnnWithAscent(
   filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
   std::vector<ObjectResult> base =
       knn_.KnnFilteredWithAscent(q, k, filters, ascent, &local);
-  std::vector<ObjectResult> out = MergeOverlay(std::move(base), q, k,
-                                               kInfDistance, nullptr, &local);
+  std::vector<ObjectResult> out = MergeOverlay(
+      std::move(base), q, ascent, k, kInfDistance, nullptr, &local);
   if (stats != nullptr) *stats = local;
   return out;
 }
@@ -322,11 +314,12 @@ std::vector<ObjectResult> SnapshotQuery::Range(const IndoorPoint& q,
   KnnQuery::Filters filters;
   const ObjectSnapshot* snap = snapshot_.get();
   filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
+  const AscentDistances ascent = knn_.ComputeAscent(q);
   std::vector<ObjectResult> base =
-      knn_.RangeFiltered(q, radius, filters, &local);
-  std::vector<ObjectResult> out =
-      MergeOverlay(std::move(base), q, std::numeric_limits<size_t>::max(),
-                   radius, nullptr, &local);
+      knn_.RangeFilteredWithAscent(q, radius, filters, ascent, &local);
+  std::vector<ObjectResult> out = MergeOverlay(
+      std::move(base), q, ascent, std::numeric_limits<size_t>::max(), radius,
+      nullptr, &local);
   if (stats != nullptr) *stats = local;
   return out;
 }
@@ -338,6 +331,7 @@ std::vector<ObjectResult> SnapshotQuery::BooleanKnn(
   if (snapshot_->keywords == nullptr) return {};
   SearchStats local;
   std::vector<ObjectResult> base;
+  const AscentDistances ascent = knn_.ComputeAscent(q);
   const std::optional<std::vector<KeywordIndex::KeywordId>> wanted =
       snapshot_->keywords->ResolveKeywords(query);
   // A keyword missing from the base dictionary matches no *base* object,
@@ -353,17 +347,18 @@ std::vector<ObjectResult> SnapshotQuery::BooleanKnn(
     filters.object = [&kw, &wanted, snap](ObjectId o) {
       return !snap->Diverged(o) && kw.ObjectHasAll(o, *wanted);
     };
-    base = knn_.KnnFiltered(q, k, filters, &local);
+    base = knn_.KnnFilteredWithAscent(q, k, filters, ascent, &local);
   }
-  std::vector<ObjectResult> out =
-      MergeOverlay(std::move(base), q, k, kInfDistance, &query, &local);
+  std::vector<ObjectResult> out = MergeOverlay(
+      std::move(base), q, ascent, k, kInfDistance, &query, &local);
   if (stats != nullptr) *stats = local;
   return out;
 }
 
 std::vector<ObjectResult> SnapshotQuery::MergeOverlay(
-    std::vector<ObjectResult> base_results, const IndoorPoint& q, size_t k,
-    double radius, const std::vector<std::string>* required_keywords,
+    std::vector<ObjectResult> base_results, const IndoorPoint& q,
+    const AscentDistances& ascent, size_t k, double radius,
+    const std::vector<std::string>* required_keywords,
     SearchStats* stats) const {
   std::vector<ObjectResult> hot;
   for (const ObjectSnapshot::OverlayEntry& entry : snapshot_->overlay) {
@@ -372,7 +367,10 @@ std::vector<ObjectResult> SnapshotQuery::MergeOverlay(
       continue;
     }
     ++stats->objects_considered;
-    const double distance = exact_.Distance(q, entry.point);
+    // Bit-identical to exact_.Distance(q, entry.point), without redoing
+    // q's ascent per entry.
+    const double distance =
+        exact_.DistanceWithAscent(q, ascent, entry.point);
     if (distance > radius) continue;
     hot.push_back({entry.id, distance});
   }

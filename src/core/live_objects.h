@@ -240,10 +240,9 @@ class LiveObjectIndex {
 // Read-side executor over one pinned ObjectSnapshot: the object-query
 // surface of KnnQuery/KeywordIndex, answering against base + overlay -
 // tombstones. One instance per (thread, snapshot); it owns the mutable
-// Dijkstra scratch (same contract as the core engines) and keeps its
-// snapshot alive. Rebuild on epoch change — construction costs one
-// Dijkstra-scratch allocation, so pin-and-reuse across queries of one
-// epoch.
+// search scratch (same contract as the core engines) and keeps its
+// snapshot alive. Rebuild on epoch change — construction allocates that
+// scratch, so pin-and-reuse across queries of one epoch.
 class SnapshotQuery {
  public:
   // `cache` as in KnnQuery (object positions are per-snapshot state and
@@ -290,11 +289,13 @@ class SnapshotQuery {
   }
 
  private:
-  // Scores the overlay (exact distances), merges with sorted base
-  // results, truncates to k within radius.
+  // Scores the overlay (exact distances, every entry reusing q's root
+  // ascent `ascent` = ComputeAscent(q)), merges with sorted base results,
+  // truncates to k within radius.
   std::vector<ObjectResult> MergeOverlay(
-      std::vector<ObjectResult> base_results, const IndoorPoint& q, size_t k,
-      double radius, const std::vector<std::string>* required_keywords,
+      std::vector<ObjectResult> base_results, const IndoorPoint& q,
+      const AscentDistances& ascent, size_t k, double radius,
+      const std::vector<std::string>* required_keywords,
       SearchStats* stats) const;
 
   std::shared_ptr<const ObjectSnapshot> snapshot_;

@@ -33,7 +33,17 @@ NodeId CommonLeaf(const IPTree& tree, DoorId x, DoorId y) {
 IPPathQuery::IPPathQuery(const IPTree& tree,
                          const DistanceQueryOptions& options,
                          DistanceCache* cache)
-    : tree_(tree), query_(tree, options, cache) {}
+    : tree_(tree),
+      query_(tree, options, cache),
+      segment_search_(tree.graph()) {}
+
+void IPPathQuery::AppendSearchedSegment(DoorId x, DoorId y,
+                                        std::vector<DoorId>& out) const {
+  segment_search_.Start(x);
+  segment_search_.RunToTargets(Span<const DoorId>(&y, 1));
+  const std::vector<DoorId> seg = segment_search_.PathTo(y);
+  for (size_t i = 1; i + 1 < seg.size(); ++i) out.push_back(seg[i]);
+}
 
 bool IPPathQuery::Represents(DoorId x, DoorId y, NodeId n) const {
   const TreeNode& node = tree_.node(n);
@@ -72,11 +82,7 @@ void IPPathQuery::Expand(DoorId x, DoorId y, NodeId ctx,
     // Shortest paths that leave a node and re-enter (Example 6's rare
     // scenario) can hand us a pair no matrix represents; recover the short
     // remaining segment with a bounded Dijkstra.
-    DijkstraEngine& engine = query_.dijkstra_;
-    engine.Start(x);
-    engine.RunToTargets(Span<const DoorId>(&y, 1));
-    const std::vector<DoorId> seg = engine.PathTo(y);
-    for (size_t i = 1; i + 1 < seg.size(); ++i) out.push_back(seg[i]);
+    AppendSearchedSegment(x, y, out);
     return;
   }
   const TreeNode& node = tree_.node(ctx);
@@ -104,11 +110,7 @@ void IPPathQuery::Expand(DoorId x, DoorId y, NodeId ctx,
       // entered. A door borders every node its two leaves chain through,
       // so the common node can live under a *different* parent; the
       // segment is then a single level-graph edge: recover it locally.
-      DijkstraEngine& engine = query_.dijkstra_;
-      engine.Start(x);
-      engine.RunToTargets(Span<const DoorId>(&y, 1));
-      const std::vector<DoorId> seg = engine.PathTo(y);
-      for (size_t i = 1; i + 1 < seg.size(); ++i) out.push_back(seg[i]);
+      AppendSearchedSegment(x, y, out);
       return;
     }
   }
@@ -139,48 +141,35 @@ IPPathQuery::PartialPath IPPathQuery::Backtrack(const AscentDistances& ascent,
   return pp;
 }
 
-IndoorPath IPPathQuery::LocalPath(const QuerySource& s,
-                                  const QuerySource& t) const {
-  const Venue& venue = tree_.venue();
+IndoorPath IPPathQuery::LocalPath(const QuerySource& s, const QuerySource& t,
+                                  NodeId leaf) const {
+  const TreeNode& node = tree_.node(leaf);
+  query_.SeedLeaf(s, node, seed_, seed_back_);
+  const IPDistanceQuery::LocalRoute route =
+      query_.LocalBest(s, leaf, seed_, t, /*resume=*/false);
   IndoorPath path;
-
-  std::vector<DijkstraSource> sources;
-  if (s.door != kInvalidId) {
-    sources.push_back({s.door, 0.0});
-  } else {
-    for (DoorId u : venue.DoorsOf(s.point->partition)) {
-      sources.push_back({u, venue.DistanceToDoor(*s.point, u)});
-    }
-  }
-
-  DijkstraEngine& engine = query_.dijkstra_;
-  engine.Start(sources);
-  if (t.door != kInvalidId) {
-    engine.RunToTargets(Span<const DoorId>(&t.door, 1));
-    path.distance = engine.DistanceTo(t.door);
-    if (engine.Settled(t.door)) path.doors = engine.PathTo(t.door);
+  path.distance = route.distance;
+  // No door: the straight in-partition leg won, or t is unreachable.
+  if (route.door == kInvalidId) return path;
+  if (route.exit < 0) {
+    path.doors = query_.interior_.PathTo(route.door);
     return path;
   }
-
-  // Point target: best door of the target partition, or the direct
-  // intra-partition route.
-  if (s.point != nullptr && s.point->partition == t.point->partition) {
-    path.distance = venue.IntraPartitionDistance(
-        t.point->partition, s.point->position, t.point->position);
+  // Exit route: s -> first door -> access door a -> t's door, each leg a
+  // leaf-matrix pair expanded through next hops.
+  const DoorId a = node.access_doors[static_cast<size_t>(route.exit)];
+  DoorId first = seed_back_[static_cast<size_t>(route.exit)].pred;
+  if (first == kInvalidId) first = s.door != kInvalidId ? s.door : a;
+  std::vector<DoorId>& out = path.doors;
+  out.push_back(first);
+  if (first != a) {
+    Expand(first, a, leaf, out);
+    out.push_back(a);
   }
-  const Span<const DoorId> targets = venue.DoorsOf(t.point->partition);
-  engine.RunToTargets(targets);
-  DoorId best_door = kInvalidId;
-  for (DoorId dt : targets) {
-    if (!engine.Settled(dt)) continue;
-    const double cand =
-        engine.DistanceTo(dt) + venue.DistanceToDoor(*t.point, dt);
-    if (cand < path.distance) {
-      path.distance = cand;
-      best_door = dt;
-    }
+  if (route.door != a) {
+    Expand(a, route.door, leaf, out);
+    out.push_back(route.door);
   }
-  if (best_door != kInvalidId) path.doors = engine.PathTo(best_door);
   return path;
 }
 
@@ -254,27 +243,16 @@ IndoorPath IPPathQuery::Path(const IndoorPoint& s,
   const NodeId ls = tree_.LeafOfPartition(s.partition);
   const NodeId lt = tree_.LeafOfPartition(t.partition);
   if (ls == lt) {
-    IndoorPath local =
-        LocalPath(QuerySource::Point(s), QuerySource::Point(t));
-    // When the best route is the direct intra-partition line, the door list
-    // reflects the best door route; clear it if direct wins.
-    if (s.partition == t.partition) {
-      const double direct = tree_.venue().IntraPartitionDistance(
-          s.partition, s.position, t.position);
-      if (direct <= local.distance) {
-        local.distance = direct;
-        local.doors.clear();
-      }
-    }
-    return local;
+    return LocalPath(QuerySource::Point(s), QuerySource::Point(t), ls);
   }
   return CrossLeafPath(QuerySource::Point(s), QuerySource::Point(t));
 }
 
 IndoorPath IPPathQuery::DoorPath(DoorId s, DoorId t) const {
   if (s == t) return IndoorPath{0.0, {s}};
-  if (CommonLeaf(tree_, s, t) != kInvalidId) {
-    return LocalPath(QuerySource::Door(s), QuerySource::Door(t));
+  const NodeId common = CommonLeaf(tree_, s, t);
+  if (common != kInvalidId) {
+    return LocalPath(QuerySource::Door(s), QuerySource::Door(t), common);
   }
   return CrossLeafPath(QuerySource::Door(s), QuerySource::Door(t));
 }
@@ -298,11 +276,7 @@ void VIPPathQuery::WalkToAncestorAd(DoorId x, NodeId ancestor, size_t col,
     if (vip_.ExtRowOf(ancestor, x) < 0) {
       // The path excursed outside the ancestor's subtree (§3.3's "very
       // rare" case): finish the remaining segment with a bounded Dijkstra.
-      DijkstraEngine& engine = ip_path_.query_.dijkstra_;
-      engine.Start(x);
-      engine.RunToTargets(Span<const DoorId>(&target, 1));
-      const std::vector<DoorId> seg = engine.PathTo(target);
-      for (size_t i = 1; i + 1 < seg.size(); ++i) out.push_back(seg[i]);
+      ip_path_.AppendSearchedSegment(x, target, out);
       return;
     }
     const DoorId hop = vip_.ExtNextHop(ancestor, x, col);

@@ -6,7 +6,11 @@
 // matrices (descending into the deepest node whose matrix represents the
 // pair, which subsumes the paper's lowest-common-ancestor rule).
 // VIPPathQuery walks next-hop pointers of the materialized matrices and
-// achieves the expected O(w) of §3.3.
+// achieves the expected O(w) of §3.3. Same-leaf pairs take the winner of
+// the same-leaf rule (IPDistanceQuery::LocalDistance): an interior route
+// is read off the leaf-interior search, an exit route is expanded through
+// the leaf's next-hop matrix, and the reported distance is the rule's, so
+// Path(s, t).distance == Distance(s, t) bit for bit.
 
 #ifndef VIPTREE_CORE_PATH_QUERY_H_
 #define VIPTREE_CORE_PATH_QUERY_H_
@@ -39,7 +43,15 @@ class IPPathQuery {
   friend class VIPPathQuery;
 
   IndoorPath CrossLeafPath(const QuerySource& s, const QuerySource& t) const;
-  IndoorPath LocalPath(const QuerySource& s, const QuerySource& t) const;
+  // Same-leaf path for s and t in `leaf`.
+  IndoorPath LocalPath(const QuerySource& s, const QuerySource& t,
+                       NodeId leaf) const;
+
+  // Appends the doors strictly between x and y on a shortest path found by
+  // a Dijkstra from x: recovers the rare segments no node matrix
+  // represents.
+  void AppendSearchedSegment(DoorId x, DoorId y,
+                             std::vector<DoorId>& out) const;
 
   // Appends the doors strictly between x and y on their shortest path,
   // using the matrices of `ctx` and below. `ctx` must represent the pair.
@@ -60,6 +72,9 @@ class IPPathQuery {
 
   const IPTree& tree_;
   IPDistanceQuery query_;
+  mutable DijkstraEngine segment_search_;  // AppendSearchedSegment scratch
+  mutable std::vector<double> seed_;       // LocalPath scratch
+  mutable std::vector<PathBack> seed_back_;
   mutable std::vector<int32_t> row_idx_, col_idx_;  // CrossLeafPath join
 };
 

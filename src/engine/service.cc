@@ -608,6 +608,11 @@ void Service::RecordStats(const Response& response) {
   }
 }
 
+size_t Service::QueueDepth() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queue_.size();
+}
+
 ServiceStats Service::Stats() const {
   ServiceStats stats;
   bool started = false;

@@ -300,6 +300,10 @@ class Service {
 
   ServiceStats Stats() const;
 
+  // Requests waiting right now (Stats().queue_depth without copying and
+  // sorting the latency samples): cheap enough for a poll thread.
+  size_t QueueDepth() const;
+
   size_t num_threads() const { return num_threads_; }
   bool multi_venue() const { return registry_.has_value(); }
   // The owned registry (multi-venue services only; CHECK-aborts otherwise).

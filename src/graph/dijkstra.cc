@@ -43,20 +43,18 @@ void DijkstraEngine::Start(Span<const DijkstraSource> sources) {
 }
 
 SettledDoor DijkstraEngine::SettleNext() {
+  return SettleNextWhere(AllEdges{});
+}
+
+double DijkstraEngine::NextDistance() {
   while (!heap_.empty()) {
     const auto [d, u] = heap_.top();
+    const bool stale =
+        (settled_[u] && epoch_mark_[u] == epoch_) || d > dist_[u];
+    if (!stale) return d;
     heap_.pop();
-    if (settled_[u] && epoch_mark_[u] == epoch_) continue;  // stale entry
-    if (d > dist_[u]) continue;                             // stale entry
-    settled_[u] = 1;
-    ++settled_count_;
-    for (const D2DEdge& e : graph_.EdgesOf(u)) {
-      if (epoch_mark_[e.to] == epoch_ && settled_[e.to]) continue;
-      Reach(e.to, d + e.weight, u, e.via);
-    }
-    return SettledDoor{u, d};
   }
-  return SettledDoor{kInvalidId, kInfDistance};
+  return kInfDistance;
 }
 
 size_t DijkstraEngine::RunToTargets(Span<const DoorId> targets) {

@@ -59,6 +59,18 @@ class DijkstraEngine {
   // id == kInvalidId when the reachable space is exhausted.
   SettledDoor SettleNext();
 
+  // SettleNext over the subgraph of edges for which keep(edge) holds (the
+  // same-leaf query rule searches one leaf's interior this way). SettleNext
+  // instantiates it with a constant predicate, so the unrestricted loop
+  // that index construction runs carries no per-edge test.
+  template <typename Keep>
+  SettledDoor SettleNextWhere(const Keep& keep);
+
+  // Distance of the door the next SettleNext would settle, kInfDistance
+  // when the reachable space is exhausted: a lower bound on the distance of
+  // every door not yet settled.
+  double NextDistance();
+
   // Runs until all doors in `targets` are settled (or the graph is
   // exhausted). Returns the number of targets actually reached.
   size_t RunToTargets(Span<const DoorId> targets);
@@ -92,6 +104,10 @@ class DijkstraEngine {
   size_t NumSettledInSearch() const { return settled_count_; }
 
  private:
+  struct AllEdges {
+    constexpr bool operator()(const D2DEdge&) const { return true; }
+  };
+
   void Reach(DoorId d, double dist, DoorId parent, PartitionId via);
 
   const D2DGraph& graph_;
@@ -108,6 +124,32 @@ class DijkstraEngine {
                       std::greater<HeapEntry>>
       heap_;
 };
+
+template <typename Keep>
+SettledDoor DijkstraEngine::SettleNextWhere(const Keep& keep) {
+  while (!heap_.empty()) {
+    const auto [d, u] = heap_.top();
+    heap_.pop();
+    if (settled_[u] && epoch_mark_[u] == epoch_) continue;  // stale entry
+    if (d > dist_[u]) continue;                             // stale entry
+    settled_[u] = 1;
+    ++settled_count_;
+    for (const D2DEdge& e : graph_.EdgesOf(u)) {
+      const double cand = d + e.weight;
+      // Most edges reach a door already seen at least as close (every
+      // settled door is, weights being non-negative): one mark and one
+      // distance load reject them before the settled flag is read.
+      if (epoch_mark_[e.to] == epoch_ &&
+          (!(cand < dist_[e.to]) || settled_[e.to])) {
+        continue;
+      }
+      if (!keep(e)) continue;
+      Reach(e.to, cand, u, e.via);
+    }
+    return SettledDoor{u, d};
+  }
+  return SettledDoor{kInvalidId, kInfDistance};
+}
 
 }  // namespace viptree
 

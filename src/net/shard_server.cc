@@ -266,7 +266,7 @@ void ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
     case FrameType::kHealthProbe: {
       WireHealth health;
       health.ready = draining_.load(std::memory_order_acquire) ? 0 : 1;
-      health.queue_depth = service_->Stats().queue_depth;
+      health.queue_depth = service_->QueueDepth();
       SendOnLoop(conn, EncodeHealthReplyFrame(health, frame.tag));
       return;
     }

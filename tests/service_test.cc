@@ -177,7 +177,9 @@ TEST_F(ServiceTest, WaitAllCountsOnlyOkOverMixedOutcomes) {
   EXPECT_EQ(eng::Service::WaitAll(tickets), 6u);
   // WaitAll is a barrier: every valid ticket is terminal afterwards.
   for (const eng::Ticket& ticket : tickets) {
-    if (ticket.valid()) EXPECT_TRUE(ticket.Done());
+    if (ticket.valid()) {
+      EXPECT_TRUE(ticket.Done());
+    }
   }
   service.Stop();
 }
@@ -302,6 +304,7 @@ TEST_F(ServiceTest, BoundedQueueRejectsOverflow) {
   EXPECT_EQ(rejected, 6u);
   eng::ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.queue_depth, 4u);
+  EXPECT_EQ(service.QueueDepth(), stats.queue_depth);
   EXPECT_EQ(stats.rejected, 6u);
   EXPECT_EQ(stats.submitted, 10u);
 
@@ -310,6 +313,24 @@ TEST_F(ServiceTest, BoundedQueueRejectsOverflow) {
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(tickets[i].Wait().ok());
   }
+  service.Stop();
+}
+
+TEST_F(ServiceTest, QueueDepthMatchesStats) {
+  eng::Service service(Bundle(), {});  // not started: submissions stay queued
+  EXPECT_EQ(service.QueueDepth(), 0u);
+  EXPECT_EQ(service.QueueDepth(), service.Stats().queue_depth);
+  for (const eng::Query& query : SomeQueries(7, 11)) {
+    eng::Request request;
+    request.query = query;
+    service.Submit(std::move(request));
+    EXPECT_EQ(service.QueueDepth(), service.Stats().queue_depth);
+  }
+  EXPECT_EQ(service.QueueDepth(), 7u);
+  service.Start();
+  service.Drain();
+  EXPECT_EQ(service.QueueDepth(), 0u);
+  EXPECT_EQ(service.QueueDepth(), service.Stats().queue_depth);
   service.Stop();
 }
 
