@@ -9,8 +9,9 @@
 //   2. Closed-loop pipelined throughput: a 64-deep window of in-flight
 //      requests (SubmitBatch+Drain for the in-process tier).
 //   3. Open-loop sojourn: arrivals paced at ~70% of the tier's measured
-//      pipelined capacity, independent of completions; sojourn latency
-//      (send -> response) p50/p99 and the achieved rate.
+//      pipelined capacity, independent of completions (a separate thread
+//      receives); sojourn latency (send -> response) p50/p99 and the
+//      achieved rate.
 //
 // VIPTREE_SCALE= / VIPTREE_QUERIES= shrink or grow the workload as with
 // the figure benchmarks.
@@ -190,52 +191,46 @@ TierReport RunOverWire(const std::string& endpoint,
     report.pipelined_rps = s > 0.0 ? wire.size() / s : 0.0;
   }
 
-  // Open loop: sends paced at ~70% of pipelined capacity; between
-  // arrivals the driver drains whatever responses are ready (a blocking
-  // client can still be an open-loop driver — the receive timeout is the
-  // time until the next scheduled send).
+  // Open loop: sends paced at ~70% of pipelined capacity on this thread,
+  // responses collected on a second one, so the arrival schedule never
+  // waits on a receive and each response is timestamped as it lands.
+  // Send and Receive touch disjoint Client state (net/client.h).
   {
     std::unique_ptr<net::Client> client = MustConnect(endpoint);
     const double rate = std::max(500.0, report.pipelined_rps * 0.7);
     const auto gap = std::chrono::duration_cast<eng::ServiceClock::duration>(
         std::chrono::duration<double>(1.0 / rate));
     std::vector<eng::ServiceClock::time_point> sent_at(wire.size());
-    std::vector<double> sojourn;
-    sojourn.reserve(wire.size());
-    const Timer wall;
-    eng::ServiceClock::time_point arrival = eng::ServiceClock::now();
+    std::vector<eng::ServiceClock::time_point> received_at(wire.size());
     size_t received = 0;
-    const auto record = [&](uint64_t tag) {
-      const double micros = std::chrono::duration<double, std::micro>(
-                                eng::ServiceClock::now() - sent_at[tag - 1])
-                                .count();
-      sojourn.push_back(micros);
-      ++received;
-    };
+    const Timer wall;
+    std::thread receiver([&]() {
+      while (received < wire.size()) {
+        net::WireResponse response;
+        uint64_t tag = 0;
+        if (!client->Receive(&response, &tag, 30000.0).ok()) break;
+        if (tag < 1 || tag > wire.size()) break;
+        received_at[tag - 1] = eng::ServiceClock::now();
+        ++received;
+      }
+    });
+    eng::ServiceClock::time_point arrival = eng::ServiceClock::now();
     for (size_t i = 0; i < wire.size(); ++i) {
       std::this_thread::sleep_until(arrival);
       sent_at[i] = eng::ServiceClock::now();
       if (!client->Send(wire[i], i + 1).ok()) std::exit(1);
       arrival += gap;
-      while (true) {
-        const double left_ms =
-            std::chrono::duration<double, std::milli>(
-                arrival - eng::ServiceClock::now())
-                .count();
-        if (left_ms < 0.05) break;
-        net::WireResponse response;
-        uint64_t tag = 0;
-        if (!client->Receive(&response, &tag, left_ms).ok()) break;
-        record(tag);
-      }
     }
-    while (received < wire.size()) {
-      net::WireResponse response;
-      uint64_t tag = 0;
-      if (!client->Receive(&response, &tag, 30000.0).ok()) break;
-      record(tag);
-    }
+    receiver.join();
     const double s = wall.ElapsedSeconds();
+    std::vector<double> sojourn;
+    sojourn.reserve(received);
+    for (size_t i = 0; i < wire.size(); ++i) {
+      if (received_at[i] == eng::ServiceClock::time_point()) continue;
+      sojourn.push_back(std::chrono::duration<double, std::micro>(
+                            received_at[i] - sent_at[i])
+                            .count());
+    }
     report.sojourn_micros = Summarize(sojourn);
     report.offered_rps = rate;
     report.achieved_rps = s > 0.0 ? received / s : 0.0;

@@ -4,9 +4,12 @@
 // requests (responses come back in submission order only on a one-worker
 // shard — correlate by tag, exactly like the in-process streaming API).
 //
-// Not thread-safe: one Client per thread. For a fleet of connections, hold
-// a Client per endpoint (what bench_net_throughput's open-loop driver and
-// the router's pools do — the router has its own non-blocking machinery).
+// Not thread-safe, with one exception: Send and Receive touch disjoint
+// state, so one thread may Send while one other thread Receives (how
+// bench_net_throughput's open-loop load generator keeps its schedule).
+// Call, Health and Stats use both halves and need the Client to
+// themselves. For a fleet of connections, hold a Client per endpoint (the
+// router has its own non-blocking machinery).
 
 #ifndef VIPTREE_NET_CLIENT_H_
 #define VIPTREE_NET_CLIENT_H_

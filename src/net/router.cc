@@ -271,6 +271,7 @@ void Router::Loop() {
     const auto now = Clock::now();
     if (now >= next_probe) {
       ProbeTick();
+      FlushDirty();
       next_probe = now + probe_interval;
     }
 
@@ -354,12 +355,12 @@ void Router::Loop() {
           client->out_pos >= client->outbox.size()) {
         alive = false;
       }
-      if (!alive) {
-        client->closed = true;
-        client->sock.Close();
-        clients_.erase(pfd.fd);
-      }
+      if (!alive) CloseClient(client);
     }
+
+    // Every frame this turn produced leaves now: one send per socket, not
+    // one per frame.
+    FlushDirty();
   }
 
   for (auto& [fd, client] : clients_) {
@@ -511,10 +512,7 @@ void Router::RoutePending(uint64_t router_tag) {
               Span<const uint8_t>(pending.payload.data(),
                                   pending.payload.size()),
               &conn->outbox);
-  if (!FlushOutbox(conn->sock.fd(), &conn->outbox, &conn->out_pos)) {
-    FailShardConn(conn);  // re-routes this pending (attempts already counted)
-    return;
-  }
+  MarkDirty(conn);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++counters_.requests_forwarded;
   if (pending.attempts > 1) ++counters_.failovers;
@@ -568,13 +566,11 @@ bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
         ++counters_.responses_returned;
       }
       if (pending.client == nullptr || pending.client->closed) return true;
-      std::vector<uint8_t> out;
-      out.reserve(kHeaderBytes + frame.payload.size());
       AppendFrame(FrameType::kResponse, pending.client_tag,
                   Span<const uint8_t>(frame.payload.data(),
                                       frame.payload.size()),
-                  &out);
-      AppendToClient(pending.client, out);
+                  &pending.client->outbox);
+      MarkDirty(pending.client);
       return true;
     }
     case FrameType::kHealthReply: {
@@ -670,10 +666,7 @@ void Router::ProbeTick() {
     ++probe_tag_;
     AppendFrame(FrameType::kHealthProbe, probe_tag_, {}, &probe_conn->outbox);
     AppendFrame(FrameType::kStatsProbe, probe_tag_, {}, &probe_conn->outbox);
-    if (!FlushOutbox(probe_conn->sock.fd(), &probe_conn->outbox,
-                     &probe_conn->out_pos)) {
-      FailShardConn(probe_conn);
-    }
+    MarkDirty(probe_conn);
   }
 }
 
@@ -681,27 +674,55 @@ void Router::AppendToClient(const std::shared_ptr<ClientConn>& conn,
                             const std::vector<uint8_t>& bytes) {
   if (conn->closed) return;
   conn->outbox.insert(conn->outbox.end(), bytes.begin(), bytes.end());
-  FlushOutbox(conn->sock.fd(), &conn->outbox, &conn->out_pos);
+  MarkDirty(conn);
 }
 
-bool Router::FlushOutbox(int fd, std::vector<uint8_t>* outbox,
-                         size_t* out_pos) {
-  if (fd < 0) return false;
-  while (*out_pos < outbox->size()) {
-    const ssize_t n = ::send(fd, outbox->data() + *out_pos,
-                             outbox->size() - *out_pos, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-      if (errno == EINTR) continue;
-      return false;
+void Router::MarkDirty(const std::shared_ptr<ClientConn>& conn) {
+  if (conn->dirty) return;
+  conn->dirty = true;
+  dirty_clients_.push_back(conn);
+}
+
+void Router::MarkDirty(ShardConn* conn) {
+  if (conn->dirty) return;
+  conn->dirty = true;
+  dirty_shards_.push_back(conn);
+}
+
+void Router::FlushDirty() {
+  // Index loops, because the lists grow while they are walked: a failed
+  // shard flush re-routes its pendings, which dirties other shard
+  // connections (visited later in this loop) or, on exhaustion, rejects
+  // to clients. Flushing a client dirties nothing.
+  for (size_t i = 0; i < dirty_shards_.size(); ++i) {
+    ShardConn* conn = dirty_shards_[i];
+    conn->dirty = false;
+    if (conn->state != ShardConn::State::kReady) continue;  // failed since
+    if (!FlushOutbox(conn->sock.fd(), &conn->outbox, &conn->out_pos)) {
+      FailShardConn(conn);
     }
-    *out_pos += static_cast<size_t>(n);
   }
-  if (*out_pos == outbox->size() && *out_pos > 0) {
-    outbox->clear();
-    *out_pos = 0;
+  dirty_shards_.clear();
+
+  for (const std::shared_ptr<ClientConn>& client : dirty_clients_) {
+    client->dirty = false;
+    if (client->closed) continue;
+    // A send error surfaces as POLLERR/POLLHUP on the next poll, which
+    // closes the client there.
+    FlushOutbox(client->sock.fd(), &client->outbox, &client->out_pos);
+    // A poisoned client lingers only until its kError frame is out.
+    if (client->poisoned && client->out_pos == client->outbox.size()) {
+      CloseClient(client);
+    }
   }
-  return true;
+  dirty_clients_.clear();
+}
+
+void Router::CloseClient(const std::shared_ptr<ClientConn>& client) {
+  const int fd = client->sock.fd();
+  client->closed = true;
+  client->sock.Close();
+  clients_.erase(fd);
 }
 
 }  // namespace net

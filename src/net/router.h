@@ -29,6 +29,13 @@
 // and all state, so there are no locks on the forwarding path. The only
 // cross-thread surface is RequestDrain()/Stop() (atomic flag + self-pipe),
 // safe from signal handlers.
+//
+// Flushing: forwarding a request or a response only appends the frame to
+// the destination connection's outbox and marks that connection dirty.
+// FlushDirty() runs once at the end of every loop turn (and after each
+// probe tick) and sends each dirty outbox once, so the many frames one
+// recv() brought in leave in one send() per socket. Bytes a socket cannot
+// take stay queued and go out on POLLOUT.
 
 #ifndef VIPTREE_NET_ROUTER_H_
 #define VIPTREE_NET_ROUTER_H_
@@ -124,6 +131,7 @@ class Router {
     size_t out_pos = 0;
     bool poisoned = false;  // flush the kError frame, then close
     bool closed = false;    // late responses to this client are dropped
+    bool dirty = false;     // listed in dirty_clients_
   };
 
   struct ShardConn {
@@ -134,6 +142,7 @@ class Router {
     FrameDecoder decoder;
     std::vector<uint8_t> outbox;
     size_t out_pos = 0;
+    bool dirty = false;  // listed in dirty_shards_
     // Probe ticks spent in kConnecting; bounded by connect_timeout_ms.
     size_t connect_ticks = 0;
   };
@@ -183,8 +192,14 @@ class Router {
   void RejectPending(Pending pending, const std::string& reason);
   void AppendToClient(const std::shared_ptr<ClientConn>& conn,
                       const std::vector<uint8_t>& bytes);
-  static bool FlushOutbox(int fd, std::vector<uint8_t>* outbox,
-                          size_t* out_pos);
+  // Lists a connection whose outbox gained bytes for the next FlushDirty.
+  void MarkDirty(const std::shared_ptr<ClientConn>& conn);
+  void MarkDirty(ShardConn* conn);
+  // Sends every dirty outbox once. A failed shard flush fails that
+  // connection, whose re-routes may dirty more; those are flushed too, so
+  // nothing is left dirty.
+  void FlushDirty();
+  void CloseClient(const std::shared_ptr<ClientConn>& client);
 
   std::vector<std::string> venue_ids_;
   RouterOptions options_;
@@ -202,6 +217,10 @@ class Router {
   // snapshots guarded by stats_mu_ for the in-process accessors.
   std::map<int, std::shared_ptr<ClientConn>> clients_;
   std::map<uint64_t, Pending> pending_;
+  // Connections with unsent frames from this loop turn, each listed once,
+  // so flushing costs O(connections written), not O(connections).
+  std::vector<std::shared_ptr<ClientConn>> dirty_clients_;
+  std::vector<ShardConn*> dirty_shards_;
   uint64_t next_router_tag_ = 1;
   uint64_t probe_tag_ = 0;
 

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstring>
 #include <utility>
 
@@ -92,8 +93,9 @@ void ShardServer::Loop() {
     if (!draining && drain_requested_.load(std::memory_order_acquire)) {
       // Drain, phase 1: stop admitting bytes. Close the listener, stop
       // reading request frames, then block until every accepted request
-      // has completed — the callbacks only append to outboxes, so they
-      // never need this thread. Phase 2 (below) flushes those outboxes.
+      // has completed — the callbacks write to sockets or outboxes
+      // themselves, so they never need this thread. Phase 2 (below)
+      // flushes what the sockets could not take.
       draining_.store(true, std::memory_order_release);
       listener_.Close();
       service_->Drain();
@@ -163,8 +165,8 @@ void ShardServer::Loop() {
   }
 
   // Loop exit: close every socket under its lock so a late response
-  // callback sees `closed` and drops its bytes instead of growing a dead
-  // outbox forever.
+  // callback sees `closed` and drops its bytes instead of writing to a
+  // closed (or reused) fd or growing a dead outbox forever.
   for (auto& [fd, conn] : connections_) {
     std::lock_guard<std::mutex> lock(conn->mu);
     conn->closed = true;
@@ -221,7 +223,7 @@ bool ShardServer::ServiceReadable(const std::shared_ptr<Connection>& conn) {
     // this connection, then close. Nothing else is affected.
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     conn->poisoned = true;
-    SendOnLoop(conn, EncodeErrorFrame(conn->decoder.error(), 0));
+    Deliver(conn.get(), EncodeErrorFrame(conn->decoder.error(), 0));
   }
   return true;
 }
@@ -237,29 +239,24 @@ void ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       if (!DecodeRequestPayload(&reader, &request, &error)) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         conn->poisoned = true;
-        SendOnLoop(conn,
-                   EncodeErrorFrame("request decode: " + error, frame.tag));
+        Deliver(conn.get(),
+                EncodeErrorFrame("request decode: " + error, frame.tag));
         return;
       }
       engine::Request engine_request = request.ToRequest();
       engine_request.tag = frame.tag;
       // The callback runs on a Service worker (or synchronously right here
-      // for admission rejections); either way it only appends bytes.
+      // for admission rejections) and writes the response itself; only
+      // bytes the socket cannot take at once wake the loop.
       service_->Submit(
           std::move(engine_request),
           [this, conn](const engine::Response& response) {
-            std::vector<uint8_t> bytes = EncodeResponseFrame(
-                WireResponse::FromResponse(response), response.tag);
-            bool appended = false;
-            {
-              std::lock_guard<std::mutex> lock(conn->mu);
-              if (!conn->closed) {
-                conn->outbox.insert(conn->outbox.end(), bytes.begin(),
-                                    bytes.end());
-                appended = true;
-              }
+            if (Deliver(conn.get(),
+                        EncodeResponseFrame(
+                            WireResponse::FromResponse(response),
+                            response.tag))) {
+              wake_.Wake();
             }
-            if (appended) wake_.Wake();
           });
       return;
     }
@@ -267,57 +264,54 @@ void ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       WireHealth health;
       health.ready = draining_.load(std::memory_order_acquire) ? 0 : 1;
       health.queue_depth = service_->QueueDepth();
-      SendOnLoop(conn, EncodeHealthReplyFrame(health, frame.tag));
+      Deliver(conn.get(), EncodeHealthReplyFrame(health, frame.tag));
       return;
     }
     case FrameType::kStatsProbe: {
-      SendOnLoop(conn,
-                 EncodeStatsReplyFrame(
-                     WireStats::FromServiceStats(service_->Stats()),
-                     frame.tag));
+      Deliver(conn.get(),
+              EncodeStatsReplyFrame(
+                  WireStats::FromServiceStats(service_->Stats()), frame.tag));
       return;
     }
     default:
       // Reply frames have no business arriving at a server.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       conn->poisoned = true;
-      SendOnLoop(conn,
-                 EncodeErrorFrame(std::string("unexpected ") +
-                                      FrameTypeName(frame.type) +
-                                      " frame at a shard server",
-                                  frame.tag));
+      Deliver(conn.get(),
+              EncodeErrorFrame(std::string("unexpected ") +
+                                   FrameTypeName(frame.type) +
+                                   " frame at a shard server",
+                               frame.tag));
       return;
   }
 }
 
-void ShardServer::SendOnLoop(const std::shared_ptr<Connection>& conn,
-                             std::vector<uint8_t> bytes) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) return;
-    conn->outbox.insert(conn->outbox.end(), bytes.begin(), bytes.end());
+bool ShardServer::Deliver(Connection* conn,
+                          const std::vector<uint8_t>& bytes) {
+  std::lock_guard<std::mutex> lock(conn->mu);
+  if (conn->closed) return false;
+  // Bytes already waiting go first, so a frame is sent directly only from
+  // an empty outbox: per-connection order is the order of Deliver calls.
+  const bool was_empty = conn->out_pos == conn->outbox.size();
+  size_t sent = 0;
+  if (was_empty &&
+      !SendNonBlocking(conn->sock.fd(), bytes.data(), bytes.size(), &sent)) {
+    // Peer gone: drop the frame. The loop sees POLLERR/POLLHUP or EOF on
+    // this socket and closes the connection.
+    return false;
   }
-  FlushWrites(conn);
+  if (sent == bytes.size()) return false;
+  conn->outbox.insert(conn->outbox.end(),
+                      bytes.begin() + static_cast<std::ptrdiff_t>(sent),
+                      bytes.end());
+  // A non-empty outbox is already in (or on its way into) the loop's
+  // POLLOUT set; only the empty -> queued edge needs a wake.
+  return was_empty;
 }
 
 bool ShardServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
   std::lock_guard<std::mutex> lock(conn->mu);
-  while (conn->out_pos < conn->outbox.size()) {
-    const ssize_t n =
-        ::send(conn->sock.fd(), conn->outbox.data() + conn->out_pos,
-               conn->outbox.size() - conn->out_pos, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      return false;  // peer gone: close (their responses die with them)
-    }
-    conn->out_pos += static_cast<size_t>(n);
-  }
-  if (conn->out_pos == conn->outbox.size() && conn->out_pos > 0) {
-    conn->outbox.clear();
-    conn->out_pos = 0;
-  }
-  return true;
+  return FlushOutbox(conn->sock.fd(), &conn->outbox, &conn->out_pos);
 }
 
 void ShardServer::CloseConnection(int fd) {

@@ -4,12 +4,18 @@
 // connection it arrived on — the socket face of the Submit -> queue ->
 // worker -> callback lifecycle engine/service.h documents.
 //
-// Threading model. One event-loop thread owns every socket: it accepts,
-// reads, decodes, submits, and writes. Service worker threads never touch
-// a socket — a completion callback only encodes the response frame,
-// appends it to the connection's locked outbox, and wakes the loop through
-// a self-pipe, so all socket syscalls stay on the loop thread and a slow
-// peer can never block a query worker.
+// Threading model. One event-loop thread accepts, reads, decodes, and
+// submits. Writes happen where the bytes are made: a completion callback
+// on a Service worker encodes the response frame and, under the
+// connection's mutex, sends it itself with a non-blocking send when the
+// connection's outbox is empty. Only what the socket cannot take at once
+// (EAGAIN or a short write) goes to the outbox, and a self-pipe wake when
+// the outbox was empty; the loop then flushes it on POLLOUT. A frame that finds bytes
+// already queued is appended behind them, so each connection's responses
+// leave in completion order. A worker never blocks on a slow peer, and the
+// loop closes a socket only under the same mutex, so a worker never writes
+// to a stale fd. The common case therefore costs no thread hop: one send
+// per response, from the worker that answered it.
 //
 // Error containment (the network tier's core promise): a malformed,
 // truncated, or bit-flipped frame — untrusted input — fails *that
@@ -22,7 +28,7 @@
 // Drain lifecycle (SIGTERM path): RequestDrain() is async-signal-safe
 // (atomic flag + self-pipe write). The loop then stops accepting, stops
 // reading new frames, runs Service::Drain() — every accepted request
-// completes and its response lands in an outbox — flushes every outbox,
+// completes and its response is sent or queued — flushes every outbox,
 // closes, and exits; Wait() returns once the loop is done. Stop() is the
 // impatient sibling: queued requests complete kCancelled and the loop
 // exits without flushing stragglers.
@@ -103,16 +109,18 @@ class ShardServer {
   uint64_t protocol_errors() const { return protocol_errors_; }
 
  private:
-  // One accepted connection. Owned by the loop thread except `mu`-guarded
-  // outbox state, which response callbacks append to from worker threads.
+  // One accepted connection. Owned by the loop thread except the
+  // `mu`-guarded write side: response callbacks send on `sock` and append
+  // to the outbox from worker threads, and the loop closes `sock` only
+  // under `mu`.
   struct Connection {
     Socket sock;
     FrameDecoder decoder;
 
     std::mutex mu;
-    std::vector<uint8_t> outbox;  // encoded frames awaiting write
+    std::vector<uint8_t> outbox;  // bytes the socket could not take yet
     size_t out_pos = 0;           // flushed prefix of outbox
-    bool closed = false;          // loop closed the socket; appends drop
+    bool closed = false;          // loop closed the socket; writes drop
     // After a protocol error: flush the kError frame, then close (no
     // further reads).
     bool poisoned = false;
@@ -125,8 +133,12 @@ class ShardServer {
   bool ServiceReadable(const std::shared_ptr<Connection>& conn);
   bool FlushWrites(const std::shared_ptr<Connection>& conn);
   void HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame);
-  void SendOnLoop(const std::shared_ptr<Connection>& conn,
-                  std::vector<uint8_t> bytes);
+  // Writes one frame from any thread: sent directly when nothing is
+  // queued, else (and for any unsent remainder) appended to the outbox.
+  // Returns true when this call left an empty outbox holding bytes, i.e.
+  // the loop must be woken to poll for POLLOUT. Dropped on a closed
+  // connection or a hard send error.
+  static bool Deliver(Connection* conn, const std::vector<uint8_t>& bytes);
   void CloseConnection(int fd);
 
   std::unique_ptr<engine::Service> service_;

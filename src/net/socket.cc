@@ -12,6 +12,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <cstddef>
 #include <cstdlib>
 
 namespace viptree {
@@ -55,6 +56,40 @@ io::Status SetNonBlocking(int fd) {
     return io::Status::Error(Errno("fcntl(O_NONBLOCK)"));
   }
   return io::Status::Ok();
+}
+
+bool SendNonBlocking(int fd, const uint8_t* data, size_t size, size_t* sent) {
+  *sent = 0;
+  if (fd < 0) return false;
+  while (*sent < size) {
+    const ssize_t n = ::send(fd, data + *sent, size - *sent,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      if (errno == EINTR) continue;
+      return false;
+    }
+    *sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+bool FlushOutbox(int fd, std::vector<uint8_t>* outbox, size_t* out_pos) {
+  size_t sent = 0;
+  const bool ok = SendNonBlocking(fd, outbox->data() + *out_pos,
+                                  outbox->size() - *out_pos, &sent);
+  *out_pos += sent;
+  if (*out_pos == outbox->size()) {
+    outbox->clear();
+    *out_pos = 0;
+  } else if (*out_pos > outbox->size() / 2) {
+    // Erasing moves fewer bytes than were sent since the last compaction,
+    // so the copying stays linear in the bytes written.
+    outbox->erase(outbox->begin(),
+                  outbox->begin() + static_cast<std::ptrdiff_t>(*out_pos));
+    *out_pos = 0;
+  }
+  return ok;
 }
 
 io::Status ListenTcp(const std::string& bind_address, uint16_t port,

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "io/binary_io.h"
 
@@ -69,9 +70,23 @@ io::Status ConnectTcp(const std::string& endpoint, double timeout_ms,
 // Sets O_NONBLOCK on an accepted/connected socket.
 io::Status SetNonBlocking(int fd);
 
+// Sends as much of [data, data + size) as the socket takes without
+// blocking (MSG_DONTWAIT | MSG_NOSIGNAL, EINTR retried). *sent reports
+// the bytes written; a short count means EAGAIN. Returns false on a hard
+// error (peer reset, closed fd): the caller drops the bytes.
+bool SendNonBlocking(int fd, const uint8_t* data, size_t size, size_t* sent);
+
+// Writes the unsent suffix outbox[*out_pos..] with SendNonBlocking and
+// advances *out_pos. A fully written outbox is cleared; once the written
+// prefix passes half of the buffer it is erased, so a connection that
+// never goes idle still holds at most twice its unsent bytes. Returns
+// false on a hard error.
+bool FlushOutbox(int fd, std::vector<uint8_t>* outbox, size_t* out_pos);
+
 // A pipe whose read end can sit in a poll set: writing one byte wakes the
-// loop. Used for cross-thread wakeups (response callbacks -> event loop)
-// and signal-handler drain requests (write() is async-signal-safe).
+// loop. Used for cross-thread wakeups (a response callback whose bytes the
+// socket could not take at once -> event loop) and signal-handler drain
+// requests (write() is async-signal-safe).
 struct WakePipe {
   Socket read_end;
   Socket write_end;

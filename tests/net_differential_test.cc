@@ -2,9 +2,12 @@
 // query/update workload run through (a) the in-process engine::Service,
 // (b) a loopback net::ShardServer, and (c) a net::Router fronting two
 // shards must answer bit-identically — the wire protocol, the shard
-// server, and the router add transport, never semantics. Plus the
-// operational paths: kill-a-shard failover re-routes to the surviving
-// shard, and a router with no healthy shard rejects cleanly.
+// server, and the router add transport, never semantics — both with one
+// request at a time and with a seed's whole query set in flight at once
+// (the router's batched forwarding and flushing, the shard's concurrent
+// worker-side sends). Plus the operational paths: kill-a-shard failover
+// re-routes to the surviving shard, and a router with no healthy shard
+// rejects cleanly.
 
 #include <gtest/gtest.h>
 
@@ -208,6 +211,52 @@ class NetDifferentialTest : public ::testing::Test {
     return outcomes;
   }
 
+  // Pipelined: every request in flight at once on one connection, replies
+  // matched back to their request by tag. Queries only — an update could
+  // be overtaken by a later query on the router's other pool connection.
+  static std::vector<Outcome> RunPipelinedThroughEndpoint(
+      const std::string& endpoint, const std::vector<eng::Request>& requests) {
+    std::string error;
+    std::unique_ptr<net::Client> client =
+        net::Client::Connect(endpoint, &error);
+    EXPECT_NE(client, nullptr) << error;
+    std::vector<Outcome> outcomes(requests.size());
+    if (client == nullptr) return outcomes;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      EXPECT_EQ(requests[i].kind, eng::RequestKind::kQuery);
+      const io::Status status = client->Send(
+          net::WireRequest::FromRequest(requests[i], 0.0), i + 1);
+      EXPECT_TRUE(status.ok()) << status.error;
+    }
+    std::vector<bool> seen(requests.size(), false);
+    for (size_t n = 0; n < requests.size(); ++n) {
+      net::WireResponse response;
+      uint64_t tag = 0;
+      const io::Status status = client->Receive(&response, &tag, 30000.0);
+      EXPECT_TRUE(status.ok()) << status.error;
+      if (!status.ok()) break;
+      if (tag < 1 || tag > requests.size()) {
+        ADD_FAILURE() << "reply with unknown tag " << tag;
+        break;
+      }
+      EXPECT_FALSE(seen[tag - 1]) << "tag " << tag << " answered twice";
+      seen[tag - 1] = true;
+      outcomes[tag - 1] = OutcomeOf(response);
+    }
+    return outcomes;
+  }
+
+  static std::vector<eng::Request> QueriesOnly(
+      std::vector<eng::Request> requests) {
+    std::vector<eng::Request> queries;
+    for (eng::Request& request : requests) {
+      if (request.kind == eng::RequestKind::kQuery) {
+        queries.push_back(std::move(request));
+      }
+    }
+    return queries;
+  }
+
   static std::string* dir_;
   static std::string* manifest_;
   static std::vector<std::string>* ids_;
@@ -270,6 +319,49 @@ TEST_F(NetDifferentialTest, LoopbackShardAndRouterMatchInProcessBitForBit) {
                 router.ShardForVenue((*ids_)[1]))
           << "assignment degenerated to one shard; workload no longer "
              "exercises the fleet";
+      router.Stop();
+      shard_a.Stop();
+      shard_b.Stop();
+    }
+
+    // Passes (d) and (e): the same fleets with a query-only workload all
+    // in flight at once, two workers per shard so responses finish out of
+    // order and workers send concurrently on one connection.
+    const std::vector<eng::Request> queries =
+        QueriesOnly(MakeWorkload(seed + 100, 70));
+    const std::vector<Outcome> query_baseline = RunInProcess(queries);
+    net::ShardServerOptions options;
+    options.service.num_threads = 2;
+    options.service.queue_capacity = queries.size();
+    {
+      net::ShardServer shard(OpenRegistry(), options);
+      ASSERT_TRUE(shard.Start().ok());
+      const std::vector<Outcome> outcomes = RunPipelinedThroughEndpoint(
+          ":" + std::to_string(shard.port()), queries);
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        ExpectSameOutcome(query_baseline[i], outcomes[i], seed, i,
+                          "pipelined shard");
+      }
+      shard.Stop();
+    }
+    {
+      net::ShardServer shard_a(OpenRegistry(), options);
+      net::ShardServer shard_b(OpenRegistry(), options);
+      ASSERT_TRUE(shard_a.Start().ok());
+      ASSERT_TRUE(shard_b.Start().ok());
+      net::RouterOptions router_options;
+      router_options.probe_interval_ms = 50.0;
+      net::Router router(
+          {"127.0.0.1:" + std::to_string(shard_a.port()),
+           "127.0.0.1:" + std::to_string(shard_b.port())},
+          *ids_, router_options);
+      ASSERT_TRUE(router.Start().ok());
+      const std::vector<Outcome> outcomes = RunPipelinedThroughEndpoint(
+          ":" + std::to_string(router.port()), queries);
+      for (size_t i = 0; i < outcomes.size(); ++i) {
+        ExpectSameOutcome(query_baseline[i], outcomes[i], seed, i,
+                          "pipelined router");
+      }
       router.Stop();
       shard_a.Stop();
       shard_b.Stop();

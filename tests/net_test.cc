@@ -3,21 +3,31 @@
 // and split at every offset), header validation (magic / version / flags /
 // type / size / CRC) with sticky per-connection failure, re-tagging,
 // randomized bit-flip and truncation fuzz (clean error, never a crash),
-// and a live ShardServer fed garbage over real sockets — the per-
-// connection error containment the tier promises for untrusted input.
+// a live ShardServer fed garbage over real sockets — the per-connection
+// error containment the tier promises for untrusted input — the shared
+// outbox flush (order and compaction over a socketpair), and a slow reader
+// whose stalled socket pushes the shard's worker-side sends onto the
+// outbox.
 
 #include "net/wire.h"
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
+#include "engine/query_engine.h"
 #include "ground_truth.h"
 #include "net/client.h"
 #include "net/shard_server.h"
@@ -380,6 +390,86 @@ TEST(FrameDecoderTest, RandomTruncationsNeverCrash) {
 }
 
 // ---------------------------------------------------------------------------
+// The outbox flush every event loop shares (net/socket.h).
+// ---------------------------------------------------------------------------
+
+// Reads whatever the socket holds right now, up to `limit` bytes.
+void ReadAvailable(int fd, size_t limit, std::vector<uint8_t>* into) {
+  uint8_t chunk[16 * 1024];
+  size_t total = 0;
+  while (total < limit) {
+    const size_t want = std::min(sizeof(chunk), limit - total);
+    const ssize_t n = ::recv(fd, chunk, want, MSG_DONTWAIT);
+    if (n <= 0) break;
+    into->insert(into->end(), chunk, chunk + n);
+    total += static_cast<size_t>(n);
+  }
+}
+
+TEST(FlushOutboxTest, DeliversInOrderAndCompactsTheFlushedPrefix) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::Socket writer(fds[0]);
+  net::Socket reader(fds[1]);
+  const int small = 16 * 1024;
+  ::setsockopt(writer.fd(), SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+
+  // Far more than the socket buffers hold, in a pattern that exposes any
+  // reordering or duplication.
+  constexpr size_t kBytes = 1 << 20;
+  std::vector<uint8_t> expected(kBytes);
+  for (size_t i = 0; i < kBytes; ++i) {
+    expected[i] = static_cast<uint8_t>((i * 131) ^ (i >> 11));
+  }
+  std::vector<uint8_t> outbox = expected;
+  size_t out_pos = 0;
+  std::vector<uint8_t> received;
+
+  ASSERT_TRUE(net::FlushOutbox(writer.fd(), &outbox, &out_pos));
+  ASSERT_FALSE(outbox.empty()) << "the socket took 1 MiB; nothing to test";
+  EXPECT_GT(out_pos, 0u);
+
+  size_t rounds = 0;
+  bool compacted = false;
+  while (!outbox.empty()) {
+    ASSERT_LT(++rounds, 100000u);
+    // Drain only part of what is buffered, so the writer keeps meeting a
+    // full socket.
+    ReadAvailable(reader.fd(), 8 * 1024, &received);
+    ASSERT_TRUE(net::FlushOutbox(writer.fd(), &outbox, &out_pos));
+    // The flushed prefix never outgrows the unsent part, and the unsent
+    // part is always the tail of the stream.
+    EXPECT_LE(out_pos * 2, outbox.size());
+    if (!outbox.empty()) {
+      compacted |= outbox.size() < kBytes;
+      ASSERT_TRUE(std::equal(outbox.begin() + out_pos, outbox.end(),
+                             expected.end() - (outbox.size() - out_pos)));
+    }
+  }
+  EXPECT_TRUE(compacted) << "the flushed prefix was never erased";
+  EXPECT_EQ(out_pos, 0u);
+  // The rest sits in the socket; blocking reads collect it.
+  while (received.size() < kBytes) {
+    uint8_t chunk[16 * 1024];
+    const ssize_t n = ::recv(reader.fd(), chunk, sizeof(chunk), 0);
+    ASSERT_GT(n, 0);
+    received.insert(received.end(), chunk, chunk + n);
+  }
+  EXPECT_EQ(received, expected);
+}
+
+TEST(FlushOutboxTest, HardErrorIsReported) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  net::Socket writer(fds[0]);
+  { net::Socket reader(fds[1]); }  // peer closes
+  std::vector<uint8_t> outbox(64, 0xAB);
+  size_t out_pos = 0;
+  EXPECT_FALSE(net::FlushOutbox(writer.fd(), &outbox, &out_pos));
+  EXPECT_FALSE(net::FlushOutbox(-1, &outbox, &out_pos));
+}
+
+// ---------------------------------------------------------------------------
 // A live ShardServer under hostile and well-formed traffic.
 // ---------------------------------------------------------------------------
 
@@ -609,6 +699,122 @@ TEST_F(NetServerTest, DrainAnswersInFlightThenCloses) {
   }
   EXPECT_LE(answered, kCount);
   server.Wait();
+  server.Stop();
+}
+
+// A client that stops reading. Its small receive window stalls the shard's
+// socket, so the worker's direct send meets EAGAIN and later responses
+// queue in the outbox behind the remainder. The client then reads while
+// the worker is still answering, so the loop's flushes race fresh worker
+// sends. Every tag must come back exactly once, in submission order (one
+// worker), bit-identical to the in-process engine.
+TEST(NetSlowReaderTest, StalledClientGetsEveryResponseOnceInOrder) {
+  Venue venue = testing::RandomSynthVenue(23);
+  Rng rng(23);
+  constexpr size_t kObjects = 64;
+  std::vector<IndoorPoint> objects =
+      synth::PlaceObjects(venue, kObjects, rng);
+  const auto bundle = std::make_shared<const eng::VenueBundle>(
+      eng::VenueBundle::Build(std::move(venue), std::move(objects)));
+
+  // Each response lists every object (about 0.8 KB), so the ~5 MB of
+  // responses to the first half overflow the client's receive buffer plus
+  // the largest send buffer Linux grants by default (tcp_wmem max, 4 MiB):
+  // the shard has to queue.
+  constexpr size_t kRequests = 12000;
+  std::vector<eng::Query> queries;
+  queries.reserve(kRequests);
+  for (size_t i = 0; i < kRequests; ++i) {
+    queries.push_back(eng::Query::Knn(
+        synth::RandomIndoorPoint(bundle->venue(), rng), kObjects));
+  }
+  const eng::QueryEngine engine(bundle);
+  const std::vector<eng::Result> expected = engine.RunSequential(
+      Span<const eng::Query>(queries.data(), queries.size()));
+
+  net::ShardServerOptions options;
+  options.service.num_threads = 1;
+  options.service.queue_capacity = kRequests;
+  net::ShardServer server(bundle, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Shrink the receive buffer before connecting, so the advertised window
+  // is small from the handshake on.
+  net::Socket sock(::socket(AF_INET, SOCK_STREAM, 0));
+  ASSERT_TRUE(sock.valid());
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(sock.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(sock.fd(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  std::vector<uint8_t> stream;
+  for (size_t i = 0; i < kRequests; ++i) {
+    net::WireRequest request;
+    request.query = queries[i];
+    const std::vector<uint8_t> frame = net::EncodeRequestFrame(request, i + 1);
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  size_t sent = 0;
+  while (sent < stream.size()) {
+    const ssize_t n = ::send(sock.fd(), stream.data() + sent,
+                             stream.size() - sent, MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<size_t>(n);
+  }
+
+  // Read nothing until the shard has answered half of the requests.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (server.ServiceStatsNow().num_queries < kRequests / 2) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  net::FrameDecoder decoder;
+  uint64_t next_tag = 1;
+  std::vector<uint8_t> chunk(64 * 1024);
+  while (next_tag <= kRequests) {
+    pollfd pfd{sock.fd(), POLLIN, 0};
+    ASSERT_GT(::poll(&pfd, 1, 30000), 0) << "stalled before tag " << next_tag;
+    const ssize_t n = ::recv(sock.fd(), chunk.data(), chunk.size(), 0);
+    ASSERT_GT(n, 0) << "closed before tag " << next_tag;
+    decoder.Feed(chunk.data(), static_cast<size_t>(n));
+    while (std::optional<net::Frame> frame = decoder.Next()) {
+      ASSERT_EQ(frame->type, net::FrameType::kResponse);
+      ASSERT_EQ(frame->tag, next_tag);
+      io::Reader reader(
+          Span<const uint8_t>(frame->payload.data(), frame->payload.size()));
+      net::WireResponse response;
+      std::string error;
+      ASSERT_TRUE(net::DecodeResponsePayload(&reader, &response, &error))
+          << error;
+      ASSERT_TRUE(response.ok()) << response.error;
+      const eng::Result& want = expected[next_tag - 1];
+      EXPECT_EQ(response.result.distance, want.distance) << next_tag;
+      EXPECT_EQ(response.result.doors, want.doors) << next_tag;
+      ASSERT_EQ(response.result.objects.size(), want.objects.size());
+      for (size_t j = 0; j < want.objects.size(); ++j) {
+        EXPECT_EQ(response.result.objects[j].object, want.objects[j].object);
+        EXPECT_EQ(response.result.objects[j].distance,
+                  want.objects[j].distance);
+      }
+      EXPECT_EQ(response.result.visited_nodes, want.visited_nodes)
+          << next_tag;
+      ++next_tag;
+    }
+    ASSERT_FALSE(decoder.failed()) << decoder.error();
+  }
+  // Exactly once: nothing follows the last response.
+  EXPECT_EQ(decoder.buffered(), 0u);
+  pollfd pfd{sock.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 100), 0);
   server.Stop();
 }
 
