@@ -2,7 +2,7 @@
 // query latency.
 //
 // Not a paper figure — VIP-Tree's object index is static in the paper;
-// this measures the epoch-published mutable layer added on top. Three
+// this measures the epoch-published mutable layer added on top. Four
 // phases:
 //
 //   1. Publish cost: single-move ApplyDelta publishes on the Men-2
@@ -11,9 +11,14 @@
 //      a SetObjects full replacement for comparison — the "patch vs
 //      rebuild" gap is the point of the overlay.
 //   2. Watermark sweep: mean publish cost at merge watermarks 8..256 —
-//      small watermarks rebuild often, large ones tax every query with
-//      more overlay distance evaluations.
-//   3. Query p99 under churn: reader threads run a closed kNN loop over a
+//      small watermarks rebuild often, large ones copy a bigger overlay
+//      on every publish.
+//   3. Overlay read cost: serial kNN and range p50/p99 over the same
+//      object positions, once packed (overlay 0) and once with a full
+//      watermark of them in the overlay. Overlay entries are scored with
+//      the objects of their leaf, so the two rows should match; the
+//      answers are checked to be identical.
+//   4. Query p99 under churn: reader threads run a closed kNN loop over a
 //      shared bundle, quiescent vs with a writer publishing moves at full
 //      rate; reports reader p50/p99 both ways and the sustained update
 //      rate.
@@ -47,6 +52,17 @@ ObjectDelta RandomMove(const Venue& venue, size_t num_objects, Rng& rng) {
       {static_cast<ObjectId>(rng.UniformIndex(num_objects)),
        synth::RandomIndoorPoint(venue, rng)});
   return delta;
+}
+
+bool SameAnswers(const std::vector<ObjectResult>& a,
+                 const std::vector<ObjectResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].object != b[i].object || a[i].distance != b[i].distance) {
+      return false;
+    }
+  }
+  return true;
 }
 
 struct PublishCosts {
@@ -150,49 +166,71 @@ int Main() {
   }
 
   // -------------------------------------------------------------------
-  // Phase 2b: adaptive watermark under skewed query/update mixes. The
-  // same publish stream, but with Acquire() reads interleaved at a fixed
-  // ratio so the adaptive heuristic sees a workload: query-heavy traffic
-  // should pull the effective watermark toward min (merge eagerly, keep
-  // the overlay off the read path), update-heavy toward max (batch more
-  // moves per CSR rebuild).
+  // Phase 3: overlay read cost — the same positions packed vs overlaid.
   // -------------------------------------------------------------------
   {
-    const LiveObjectIndex::Options defaults;
-    std::printf(
-        "\nadaptive watermark (base %zu, clamp [%zu, %zu], "
-        "%zu single-move publishes each):\n",
-        defaults.merge_watermark, defaults.min_watermark,
-        defaults.max_watermark, publishes);
-    for (const double queries_per_update : {50.0, 1.0, 0.02}) {
-      LiveObjectIndex::Options options;
-      options.adaptive_watermark = true;
-      LiveObjectIndex adaptive(bundle->tree().base(), objects, {}, options);
-      Rng rng(0xADA7);
-      std::vector<double> micros;
-      // Acquire() is the query-counter tick, so the mix is driven purely
-      // by interleaving reads — no inspection reads that would skew it.
-      double read_debt = 0.0;
-      for (size_t i = 0; i < publishes; ++i) {
-        read_debt += queries_per_update;
-        while (read_debt >= 1.0) {
-          (void)adaptive.Acquire();
-          read_debt -= 1.0;
+    const size_t watermark = LiveObjectIndex::Options().merge_watermark;
+    const IPTree& tree = bundle->tree().base();
+    LiveObjectIndex overlaid(tree, objects);
+    std::vector<IndoorPoint> moved = objects;
+    Rng rng(0x0E7A);
+    for (size_t i = 0; i < watermark; ++i) {
+      ObjectDelta delta;
+      delta.moves.push_back({static_cast<ObjectId>(i),
+                             synth::RandomIndoorPoint(data.venue, rng)});
+      moved[i] = delta.moves[0].to;
+      if (overlaid.ApplyDelta(delta).has_value()) std::abort();
+    }
+    const LiveObjectIndex packed(tree, moved);
+    const std::vector<IndoorPoint> points =
+        QueryPoints(dataset, 4 * NumQueries());
+    std::printf("\nserial reads over the same %zu positions (k=5, range "
+                "radius 100):\n",
+                kNumObjects);
+    // The two sides alternate query by query, in alternating order, so a
+    // host speed phase or a warm cache favours neither; the first pass is
+    // a warm-up. Answers must agree bit for bit.
+    const SnapshotQuery readers[2] = {SnapshotQuery(tree, packed.Acquire()),
+                                      SnapshotQuery(tree, overlaid.Acquire())};
+    std::vector<double> knn_micros[2], range_micros[2];
+    size_t differing = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t i = 0; i < points.size(); ++i) {
+        std::vector<ObjectResult> knn[2], range[2];
+        for (size_t turn = 0; turn < 2; ++turn) {
+          const size_t side = (i + turn) % 2;
+          Timer timer;
+          knn[side] = readers[side].Knn(points[i], 5);
+          const double knn_us = timer.ElapsedMicros();
+          timer.Reset();
+          range[side] = readers[side].Range(points[i], 100.0);
+          if (pass == 0) continue;
+          range_micros[side].push_back(timer.ElapsedMicros());
+          knn_micros[side].push_back(knn_us);
         }
-        const ObjectDelta delta = RandomMove(data.venue, kNumObjects, rng);
-        const Timer timer;
-        if (adaptive.ApplyDelta(delta).has_value()) continue;
-        micros.push_back(timer.ElapsedMicros());
+        if (pass == 1 && (!SameAnswers(knn[0], knn[1]) ||
+                          !SameAnswers(range[0], range[1]))) {
+          ++differing;
+        }
       }
-      const Summary s = Summarize(micros);
-      std::printf(
-          "  q:u %6.2f -> effective watermark %4zu, mean %6.1f us/publish\n",
-          queries_per_update, adaptive.EffectiveMergeWatermark(), s.mean);
+    }
+    for (size_t side = 0; side < 2; ++side) {
+      const Summary knn = Summarize(knn_micros[side]);
+      const Summary range = Summarize(range_micros[side]);
+      std::printf("  overlay %4zu: kNN p50 %6.1f us  p99 %6.1f us  |  "
+                  "range p50 %6.1f us  p99 %6.1f us\n",
+                  readers[side].snapshot().overlay.size(), knn.p50, knn.p99,
+                  range.p50, range.p99);
+    }
+    if (differing > 0) {
+      std::fprintf(stderr, "%zu of %zu overlaid answers differ from packed\n",
+                   differing, points.size());
+      return 1;
     }
   }
 
   // -------------------------------------------------------------------
-  // Phase 3: reader latency, quiescent vs full-rate churn.
+  // Phase 4: reader latency, quiescent vs full-rate churn.
   // -------------------------------------------------------------------
   const size_t num_readers = 2;
   const size_t reads_per_thread = 4 * NumQueries();

@@ -1,6 +1,7 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -27,6 +28,47 @@ Summary Summarize(const std::vector<double>& samples) {
   auto pct = [&sorted](double p) {
     size_t idx = static_cast<size_t>(p * static_cast<double>(sorted.size() - 1));
     return sorted[idx];
+  };
+  s.p50 = pct(0.50);
+  s.p95 = pct(0.95);
+  s.p99 = pct(0.99);
+  return s;
+}
+
+void Histogram::Record(double value) {
+  value = std::max(value, 0.0);
+  size_t index = 0;  // bucket 0 holds zeros
+  if (value > 0.0) {
+    int exp = 0;
+    const double mantissa = std::frexp(value, &exp);  // in [0.5, 1)
+    const int sub = static_cast<int>((mantissa - 0.5) * 2 * kSubBuckets);
+    exp = std::min(std::max(exp, kMinExp), kMaxExp);
+    index = 1 + static_cast<size_t>((exp - kMinExp) * kSubBuckets + sub);
+  }
+  ++buckets_[index];
+  exact_.min = exact_.count == 0 ? value : std::min(exact_.min, value);
+  exact_.max = std::max(exact_.max, value);
+  exact_.mean += value;
+  ++exact_.count;
+}
+
+Summary Histogram::Summarize() const {
+  Summary s = exact_;
+  if (s.count == 0) return s;
+  s.mean /= static_cast<double>(s.count);
+  // The bucket holding Summarize's sample index, at its midpoint.
+  const auto pct = [this, &s](double p) {
+    const auto rank =
+        static_cast<uint64_t>(p * static_cast<double>(s.count - 1));
+    uint64_t seen = 0;
+    size_t index = 0;
+    while ((seen += buckets_[index]) <= rank) ++index;
+    if (index == 0) return 0.0;
+    const int exp = kMinExp + static_cast<int>((index - 1) / kSubBuckets);
+    const int sub = static_cast<int>((index - 1) % kSubBuckets);
+    const double mid =
+        std::ldexp(0.5 + (sub + 0.5) / (2.0 * kSubBuckets), exp);
+    return std::min(std::max(mid, s.min), s.max);
   };
   s.p50 = pct(0.50);
   s.p95 = pct(0.95);

@@ -43,6 +43,23 @@ struct Summary {
 // Computes a Summary; the input vector is copied and sorted internally.
 Summary Summarize(const std::vector<double>& samples);
 
+// Fixed-size log-linear histogram of non-negative samples, for streams
+// without a bound (a serving process's latencies): O(1) Record, constant
+// memory, and a Summary whose count, mean, min and max are exact and whose
+// percentiles are within 1/64 (relative) of the sample Summarize picks.
+class Histogram {
+ public:
+  void Record(double value);
+  Summary Summarize() const;
+
+ private:
+  static constexpr int kSubBuckets = 32;  // per power of two
+  static constexpr int kMinExp = -20, kMaxExp = 44;
+  static constexpr size_t kBuckets = 1 + (kMaxExp - kMinExp + 1) * kSubBuckets;
+  std::vector<uint64_t> buckets_ = std::vector<uint64_t>(kBuckets, 0);
+  Summary exact_;  // count, min, max; mean holds the running sum
+};
+
 // Hit/miss/evict counters of a memoization cache (core/distance_cache.h),
 // aggregatable across shards and caches (ServiceStats sums one per venue).
 struct CacheCounters {

@@ -127,16 +127,6 @@ class IPDistanceQuery {
   // which must be an ancestor of (or equal to) the source's leaf.
   AscentDistances GetDistances(const QuerySource& source, NodeId target) const;
 
-  // Algorithm 3 with the source ascent precomputed (typically once per
-  // source via GetDistances(Point(s), tree().root()) and reused across
-  // many targets by the execution planner). `ascent` must start at
-  // Leaf(s); the row for the LCA join child is the iteration prefix the
-  // per-query ascent would have produced, so the result is bit-identical
-  // to Distance(s, t).
-  double DistanceWithAscent(const IndoorPoint& s,
-                            const AscentDistances& ascent,
-                            const IndoorPoint& t) const;
-
   // The same-leaf rule. For s and t in one leaf N (§2.1, §3.1):
   //   dist(s, t) = min(A, B, the straight leg when s, t share a partition)
   //   A = the leaf-interior search (LeafInteriorSearch) from s to t's doors;

@@ -9,9 +9,19 @@
 
 namespace viptree {
 
+namespace {
+
+// The total order of every answer and of the k-th-place cut.
+bool ResultLess(const ObjectResult& a, const ObjectResult& b) {
+  return a.distance != b.distance ? a.distance < b.distance
+                                  : a.object < b.object;
+}
+
+}  // namespace
+
 KnnQuery::KnnQuery(const IPTree& tree, const ObjectIndex& objects,
                    const DistanceQueryOptions& options, DistanceCache* cache)
-    : tree_(tree), objects_(objects), query_(tree, options, cache) {}
+    : tree_(tree), objects_(&objects), query_(tree, options, cache) {}
 
 std::vector<ObjectResult> KnnQuery::Knn(const IndoorPoint& q, size_t k,
                                         SearchStats* stats) const {
@@ -29,12 +39,13 @@ std::vector<ObjectResult> KnnQuery::WithinRange(const IndoorPoint& q,
                 stats);
 }
 
-void KnnQuery::FoldInteriorDistances(const IndoorPoint& q, NodeId leaf,
-                                     std::vector<double>& best) const {
+void KnnQuery::FoldInteriorDistances(
+    const IndoorPoint& q, NodeId leaf,
+    const std::vector<const IndoorPoint*>& points,
+    std::vector<double>& best) const {
   const Venue& venue = tree_.venue();
-  const Span<const ObjectId> objs = objects_.ObjectsInLeaf(leaf);
-  for (size_t i = 0; i < objs.size(); ++i) {
-    const IndoorPoint& obj = objects_.object(objs[i]);
+  for (size_t i = 0; i < points.size(); ++i) {
+    const IndoorPoint& obj = *points[i];
     if (obj.partition == q.partition) {
       best[i] = std::min(best[i], venue.IntraPartitionDistance(
                                       q.partition, q.position, obj.position));
@@ -47,8 +58,8 @@ void KnnQuery::FoldInteriorDistances(const IndoorPoint& q, NodeId leaf,
   while (interior.NextDistance() < worst) {
     const SettledDoor u = interior.SettleNext();
     bool improved = false;
-    for (size_t i = 0; i < objs.size(); ++i) {
-      const IndoorPoint& obj = objects_.object(objs[i]);
+    for (size_t i = 0; i < points.size(); ++i) {
+      const IndoorPoint& obj = *points[i];
       if (!venue.DoorTouches(u.door, obj.partition)) continue;
       const double cand = u.distance + venue.DistanceToDoor(obj, u.door);
       if (cand < best[i]) {
@@ -62,15 +73,22 @@ void KnnQuery::FoldInteriorDistances(const IndoorPoint& q, NodeId leaf,
 
 std::vector<ObjectResult> KnnQuery::Search(
     const IndoorPoint& q, size_t k, double radius, const Filters* filters,
-    SearchStats* stats, const AscentDistances* precomputed) const {
+    SearchStats* stats, const AscentDistances* precomputed,
+    const ExtraObjects* extra) const {
   if (stats != nullptr) *stats = SearchStats{};
   std::vector<ObjectResult> results;
-  if (objects_.NumObjects() == 0 || k == 0) return results;
+  if (k == 0 || (objects_->NumObjects() == 0 &&
+                 (extra == nullptr || extra->by_leaf->empty()))) {
+    return results;
+  }
   auto node_allowed = [filters](NodeId n) {
     return filters == nullptr || !filters->node || filters->node(n);
   };
   auto object_allowed = [filters](ObjectId o) {
     return filters == nullptr || !filters->object || filters->object(o);
+  };
+  auto extra_allowed = [extra](const LeafObject& e) {
+    return !extra->filter || extra->filter(e);
   };
 
   // Line 2 of Algorithm 5: distances from q to the access doors of every
@@ -95,31 +113,16 @@ std::vector<ObjectResult> KnnQuery::Search(
   // once at the end instead of paying O(log n) per insert.
   const bool collect_all = k == std::numeric_limits<size_t>::max();
 
-  // Results as a max-heap so dk (distance to the current kth NN) is O(1).
-  auto worse = [](const ObjectResult& a, const ObjectResult& b) {
-    return a.distance < b.distance;
-  };
+  // Results as a max-heap under (distance, id) so dk (distance to the
+  // current kth NN) is O(1) and the k-th-place cut breaks ties by id.
   std::priority_queue<ObjectResult, std::vector<ObjectResult>,
-                      decltype(worse)>
-      best(worse);
+                      decltype(&ResultLess)>
+      best(&ResultLess);
   auto dk = [&]() {
     if (radius != kInfDistance) {
       return best.size() >= k ? std::min(radius, best.top().distance) : radius;
     }
     return best.size() >= k ? best.top().distance : kInfDistance;
-  };
-  auto offer = [&](ObjectId o, double dist) {
-    if (stats != nullptr) ++stats->objects_considered;
-    if (dist > radius) return;
-    if (!object_allowed(o)) return;
-    if (collect_all) {
-      results.push_back({o, dist});
-    } else if (best.size() < k) {
-      best.push({o, dist});
-    } else if (dist < best.top().distance) {
-      best.pop();
-      best.push({o, dist});
-    }
   };
 
   // Distance from q to each access door of `n`, deriving missing vectors
@@ -208,55 +211,97 @@ std::vector<ObjectResult> KnnQuery::Search(
         kernels::PrefetchRead(&tree_.node(child));
       }
       for (NodeId child : node.children) {
-        if (objects_.SubtreeCount(tree_.node(child)) == 0) continue;
-        if (!node_allowed(child)) continue;
+        const TreeNode& c = tree_.node(child);
+        const bool empty = extra != nullptr
+                               ? extra->CountUnder(*objects_, c) == 0
+                               : objects_->SubtreeCount(c) == 0;
+        if (empty || !node_allowed(child)) continue;
         heap.emplace(mindist(child), child);
       }
       continue;
     }
-    // Leaf: exact object distances.
-    const Span<const ObjectId> objs = objects_.ObjectsInLeaf(n);
-    if (objs.empty()) continue;
+    // Leaf: exact object distances, packed objects first, then the extra
+    // objects of this leaf scored from their own door rows.
+    const Span<const ObjectId> objs = objects_->ObjectsInLeaf(n);
+    const Span<const uint32_t> hot =
+        extra != nullptr
+            ? extra->InLeaves(node.leaf_begin, node.leaf_begin + 1)
+            : Span<const uint32_t>();
+    const size_t count = objs.size() + hot.size();
+    if (count == 0) continue;
+    const auto extra_at = [&](size_t i) -> const LeafObject& {
+      return (*extra->objects)[hot[i - objs.size()]];
+    };
     // One contiguous distance row per access door (see ObjectIndex layout):
     // column-outer order keeps the kernel scanning sequential rows. In q's
     // own leaf this is the exit-route term of the same-leaf rule (its
     // ad_dist is the rule's seed), and the interior term is folded in.
     const std::vector<double>& q_to_ad = ensure_ad_dist(n);
-    leaf_best.assign(objs.size(), kInfDistance);
+    leaf_best.assign(count, kInfDistance);
     for (size_t col = 0; col < node.access_doors.size(); ++col) {
       const double q_to_door = q_to_ad[col];
       if (q_to_door == kInfDistance) continue;  // inf row never improves
       if (col + 1 < node.access_doors.size()) {
-        kernels::PrefetchRead(objects_.DoorDistances(n, col + 1).data());
+        kernels::PrefetchRead(objects_->DoorDistances(n, col + 1).data());
       }
       kernels::MinPlusRow(leaf_best.data(),
-                          objects_.DoorDistances(n, col).data(), q_to_door,
+                          objects_->DoorDistances(n, col).data(), q_to_door,
                           objs.size());
+      // The same candidate, in the same operand order, as MinPlusRow's.
+      for (size_t i = objs.size(); i < count; ++i) {
+        const double cand = q_to_door + (*extra_at(i).door_dists)[col];
+        if (cand < leaf_best[i]) leaf_best[i] = cand;
+      }
     }
-    if (n == q_leaf) FoldInteriorDistances(q, n, leaf_best);
+    if (n == q_leaf) {
+      leaf_points_.clear();
+      for (const ObjectId o : objs) {
+        leaf_points_.push_back(&objects_->object(o));
+      }
+      for (size_t i = objs.size(); i < count; ++i) {
+        leaf_points_.push_back(&extra_at(i).point);
+      }
+      FoldInteriorDistances(q, n, leaf_points_, leaf_best);
+    }
+    if (stats != nullptr) stats->objects_considered += count;
+    const auto report = [&](size_t i) {
+      ObjectId id = kInvalidId;
+      if (i < objs.size()) {
+        id = objs[i];
+        if (!object_allowed(id)) return;
+      } else {
+        const LeafObject& e = extra_at(i);
+        if (!extra_allowed(e)) return;
+        id = e.id;
+      }
+      const ObjectResult r{id, leaf_best[i]};
+      if (collect_all) {
+        results.push_back(r);
+      } else if (best.size() < k) {
+        best.push(r);
+      } else if (ResultLess(r, best.top())) {
+        best.pop();
+        best.push(r);
+      }
+    };
     if (collect_all) {
       // Range mode: batch-filter the leaf against the radius instead of
-      // offering objects one by one.
-      if (stats != nullptr) stats->objects_considered += objs.size();
-      in_radius.resize(objs.size());
-      const size_t hits = kernels::FilterLeq(leaf_best.data(), objs.size(),
-                                             radius, in_radius.data());
+      // testing objects one by one.
+      in_radius.resize(count);
+      const size_t hits = kernels::FilterLeq(leaf_best.data(), count, radius,
+                                             in_radius.data());
       for (size_t h = 0; h < hits; ++h) {
-        const size_t i = static_cast<size_t>(in_radius[h]);
-        if (!object_allowed(objs[i])) continue;
-        results.push_back({objs[i], leaf_best[i]});
+        report(static_cast<size_t>(in_radius[h]));
       }
       continue;
     }
-    for (size_t i = 0; i < objs.size(); ++i) offer(objs[i], leaf_best[i]);
+    for (size_t i = 0; i < count; ++i) {
+      if (leaf_best[i] <= radius) report(i);
+    }
   }
 
   if (collect_all) {
-    std::sort(results.begin(), results.end(),
-              [](const ObjectResult& a, const ObjectResult& b) {
-                return a.distance != b.distance ? a.distance < b.distance
-                                                : a.object < b.object;
-              });
+    std::sort(results.begin(), results.end(), ResultLess);
     return results;
   }
   results.reserve(best.size());

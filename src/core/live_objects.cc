@@ -1,9 +1,7 @@
 #include "core/live_objects.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
-#include <limits>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
@@ -18,11 +16,6 @@ bool HasAllStrings(const std::vector<std::string>& have,
     if (std::find(have.begin(), have.end(), word) == have.end()) return false;
   }
   return true;
-}
-
-bool ResultLess(const ObjectResult& a, const ObjectResult& b) {
-  return a.distance != b.distance ? a.distance < b.distance
-                                  : a.object < b.object;
 }
 
 }  // namespace
@@ -83,23 +76,7 @@ LiveObjectIndex::LiveObjectIndex(const IPTree& tree,
 }
 
 std::shared_ptr<const ObjectSnapshot> LiveObjectIndex::Acquire() const {
-  if (options_.adaptive_watermark) {
-    queries_seen_.fetch_add(1, std::memory_order_relaxed);
-  }
   return std::atomic_load(&snapshot_);
-}
-
-size_t LiveObjectIndex::EffectiveMergeWatermark() const {
-  if (!options_.adaptive_watermark) return options_.merge_watermark;
-  const uint64_t queries = queries_seen_.load(std::memory_order_relaxed);
-  const uint64_t updates = updates_seen_.load(std::memory_order_relaxed);
-  if (queries == 0 || updates == 0) return options_.merge_watermark;
-  const double scaled = static_cast<double>(options_.merge_watermark) *
-                        std::sqrt(static_cast<double>(updates) /
-                                  static_cast<double>(queries));
-  const double lo = static_cast<double>(options_.min_watermark);
-  const double hi = static_cast<double>(options_.max_watermark);
-  return static_cast<size_t>(std::min(hi, std::max(lo, scaled)));
 }
 
 void LiveObjectIndex::SetObjects(
@@ -177,10 +154,9 @@ std::optional<std::string> LiveObjectIndex::ApplyDelta(
           return e.id < want;
         });
     if (it != overlay_.end() && it->id == id) {
-      it->point = positions_[id];
-      it->keywords = keyword_strings_[id];
+      *it = MakeOverlayEntryLocked(id);
     } else {
-      overlay_.insert(it, {id, positions_[id], keyword_strings_[id]});
+      overlay_.insert(it, MakeOverlayEntryLocked(id));
     }
   };
   for (const ObjectDelta::Move& move : delta.moves) {
@@ -206,12 +182,9 @@ std::optional<std::string> LiveObjectIndex::ApplyDelta(
     upsert_overlay(id);
   }
 
-  updates_seen_.fetch_add(delta.size(), std::memory_order_relaxed);
-
   // Velocity partitioning's cold path: once the hot overlay outgrows the
-  // watermark (workload-scaled under adaptive_watermark), fold everything
-  // back into a packed CSR built aside.
-  if (overlay_.size() > EffectiveMergeWatermark()) MergeLocked();
+  // watermark, fold everything back into a packed CSR built aside.
+  if (overlay_.size() > options_.merge_watermark) MergeLocked();
   PublishLocked();
   return std::nullopt;
 }
@@ -226,6 +199,18 @@ void LiveObjectIndex::MergeLocked() {
   overlay_.clear();
 }
 
+ObjectSnapshot::OverlayEntry LiveObjectIndex::MakeOverlayEntryLocked(
+    ObjectId id) const {
+  const TreeNode& leaf =
+      tree_.node(tree_.LeafOfPartition(positions_[id].partition));
+  ObjectSnapshot::OverlayEntry entry{id, positions_[id], keyword_strings_[id],
+                                     leaf.leaf_begin, nullptr};
+  auto row = std::make_shared<std::vector<double>>(leaf.access_doors.size());
+  ObjectIndex::AccessDoorDistances(tree_, leaf, entry.point, row->data(), 1);
+  entry.door_dists = std::move(row);
+  return entry;
+}
+
 void LiveObjectIndex::PublishLocked() {
   auto next = std::make_shared<ObjectSnapshot>();
   next->epoch = next_epoch_++;
@@ -233,6 +218,30 @@ void LiveObjectIndex::PublishLocked() {
   next->keywords = base_keywords_;
   next->overlay = overlay_;
   next->removed = removed_ids_;
+  // Counting sorts by leaf DFS index; overlay_ is in id order, so each
+  // leaf's run comes out in id order too.
+  const size_t leaves = tree_.num_leaves();
+  std::vector<uint32_t>& offsets = next->overlay_leaf_offsets;
+  offsets.assign(leaves + 1, 0);
+  for (const ObjectSnapshot::OverlayEntry& e : overlay_) {
+    ++offsets[e.leaf_dfs + 1];
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  next->overlay_by_leaf.resize(overlay_.size());
+  for (uint32_t i = 0; i < overlay_.size(); ++i) {
+    next->overlay_by_leaf[cursor[overlay_[i].leaf_dfs]++] = i;
+  }
+  std::vector<uint32_t>& hidden = next->hidden_prefix;
+  hidden.assign(leaves + 1, 0);
+  const auto hide = [this, &hidden](ObjectId id) {
+    if (static_cast<size_t>(id) >= base_->NumObjects()) return;  // no copy
+    const NodeId leaf = tree_.LeafOfPartition(base_->object(id).partition);
+    ++hidden[tree_.node(leaf).leaf_begin + 1];
+  };
+  for (const ObjectSnapshot::OverlayEntry& e : overlay_) hide(e.id);
+  for (const ObjectId id : removed_ids_) hide(id);
+  std::partial_sum(hidden.begin(), hidden.end(), hidden.begin());
   next->num_live = positions_.size() - removed_ids_.size();
   std::atomic_store(&snapshot_,
                     std::shared_ptr<const ObjectSnapshot>(std::move(next)));
@@ -269,7 +278,7 @@ uint64_t LiveObjectIndex::MemoryBytes() const {
   uint64_t bytes = base_->MemoryBytes();
   if (base_keywords_ != nullptr) bytes += base_keywords_->MemoryBytes();
   for (const ObjectSnapshot::OverlayEntry& entry : overlay_) {
-    bytes += sizeof(entry);
+    bytes += sizeof(entry) + entry.door_dists->size() * sizeof(double);
     for (const std::string& word : entry.keywords) bytes += word.size();
   }
   bytes += removed_ids_.size() * sizeof(ObjectId);
@@ -280,11 +289,25 @@ SnapshotQuery::SnapshotQuery(const IPTree& tree,
                              std::shared_ptr<const ObjectSnapshot> snapshot,
                              const DistanceQueryOptions& options,
                              DistanceCache* cache)
-    : snapshot_(std::move(snapshot)),
-      knn_(tree, *snapshot_->base, options, cache),
-      exact_(tree, options, cache) {
+    : tree_(tree),
+      snapshot_(std::move(snapshot)),
+      knn_(tree, *snapshot_->base, options, cache) {
   VIPTREE_CHECK_MSG(snapshot_ != nullptr,
                     "SnapshotQuery over a null ObjectSnapshot");
+}
+
+void SnapshotQuery::Reset(std::shared_ptr<const ObjectSnapshot> snapshot) {
+  VIPTREE_CHECK_MSG(snapshot != nullptr,
+                    "SnapshotQuery reset to a null ObjectSnapshot");
+  snapshot_ = std::move(snapshot);
+  knn_.set_objects(*snapshot_->base);
+}
+
+KnnQuery::Filters SnapshotQuery::LiveBaseFilter() const {
+  KnnQuery::Filters filters;
+  const ObjectSnapshot* snap = snapshot_.get();
+  filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
+  return filters;
 }
 
 std::vector<ObjectResult> SnapshotQuery::Knn(const IndoorPoint& q, size_t k,
@@ -295,33 +318,15 @@ std::vector<ObjectResult> SnapshotQuery::Knn(const IndoorPoint& q, size_t k,
 std::vector<ObjectResult> SnapshotQuery::KnnWithAscent(
     const IndoorPoint& q, size_t k, const AscentDistances& ascent,
     SearchStats* stats) const {
-  SearchStats local;
-  KnnQuery::Filters filters;
-  const ObjectSnapshot* snap = snapshot_.get();
-  filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
-  std::vector<ObjectResult> base =
-      knn_.KnnFilteredWithAscent(q, k, filters, ascent, &local);
-  std::vector<ObjectResult> out = MergeOverlay(
-      std::move(base), q, ascent, k, kInfDistance, nullptr, &local);
-  if (stats != nullptr) *stats = local;
-  return out;
+  return knn_.KnnFilteredWithAscent(q, k, LiveBaseFilter(), Overlay(), ascent,
+                                    stats);
 }
 
 std::vector<ObjectResult> SnapshotQuery::Range(const IndoorPoint& q,
                                                double radius,
                                                SearchStats* stats) const {
-  SearchStats local;
-  KnnQuery::Filters filters;
-  const ObjectSnapshot* snap = snapshot_.get();
-  filters.object = [snap](ObjectId o) { return !snap->Diverged(o); };
-  const AscentDistances ascent = knn_.ComputeAscent(q);
-  std::vector<ObjectResult> base =
-      knn_.RangeFilteredWithAscent(q, radius, filters, ascent, &local);
-  std::vector<ObjectResult> out = MergeOverlay(
-      std::move(base), q, ascent, std::numeric_limits<size_t>::max(), radius,
-      nullptr, &local);
-  if (stats != nullptr) *stats = local;
-  return out;
+  return knn_.RangeFilteredWithAscent(q, radius, LiveBaseFilter(), Overlay(),
+                                      knn_.ComputeAscent(q), stats);
 }
 
 std::vector<ObjectResult> SnapshotQuery::BooleanKnn(
@@ -329,59 +334,41 @@ std::vector<ObjectResult> SnapshotQuery::BooleanKnn(
     SearchStats* stats) const {
   if (stats != nullptr) *stats = SearchStats{};
   if (snapshot_->keywords == nullptr) return {};
-  SearchStats local;
-  std::vector<ObjectResult> base;
-  const AscentDistances ascent = knn_.ComputeAscent(q);
+  const ObjectSnapshot* snap = snapshot_.get();
+  const KeywordIndex& kw = *snap->keywords;
+  // A keyword missing from the base dictionary matches no base object,
+  // but overlay adds may have introduced it.
   const std::optional<std::vector<KeywordIndex::KeywordId>> wanted =
-      snapshot_->keywords->ResolveKeywords(query);
-  // A keyword missing from the base dictionary matches no *base* object,
-  // but overlay adds may have introduced it — so the overlay is still
-  // string-matched below.
-  if (wanted.has_value()) {
-    const KeywordIndex& kw = *snapshot_->keywords;
-    const ObjectSnapshot* snap = snapshot_.get();
-    KnnQuery::Filters filters;
-    filters.node = [&kw, &wanted](NodeId n) {
-      return kw.NodeHasAll(n, *wanted);
-    };
-    filters.object = [&kw, &wanted, snap](ObjectId o) {
-      return !snap->Diverged(o) && kw.ObjectHasAll(o, *wanted);
-    };
-    base = knn_.KnnFilteredWithAscent(q, k, filters, ascent, &local);
-  }
-  std::vector<ObjectResult> out = MergeOverlay(
-      std::move(base), q, ascent, k, kInfDistance, &query, &local);
-  if (stats != nullptr) *stats = local;
-  return out;
-}
-
-std::vector<ObjectResult> SnapshotQuery::MergeOverlay(
-    std::vector<ObjectResult> base_results, const IndoorPoint& q,
-    const AscentDistances& ascent, size_t k, double radius,
-    const std::vector<std::string>* required_keywords,
-    SearchStats* stats) const {
-  std::vector<ObjectResult> hot;
-  for (const ObjectSnapshot::OverlayEntry& entry : snapshot_->overlay) {
-    if (required_keywords != nullptr &&
-        !HasAllStrings(entry.keywords, *required_keywords)) {
-      continue;
+      kw.ResolveKeywords(query);
+  ExtraObjects extra = Overlay();
+  extra.filter = [&query](const LeafObject& e) {
+    return HasAllStrings(e.keywords, query);
+  };
+  // Leaf DFS indices (ascending) of the matching overlay entries: the
+  // base's keyword summaries do not cover them, so the node filter must
+  // admit their ancestors itself.
+  std::vector<uint32_t> hot_leaves;
+  for (const uint32_t i : snap->overlay_by_leaf) {
+    if (extra.filter(snap->overlay[i])) {
+      hot_leaves.push_back(snap->overlay[i].leaf_dfs);
     }
-    ++stats->objects_considered;
-    // Bit-identical to exact_.Distance(q, entry.point), without redoing
-    // q's ascent per entry.
-    const double distance =
-        exact_.DistanceWithAscent(q, ascent, entry.point);
-    if (distance > radius) continue;
-    hot.push_back({entry.id, distance});
   }
-  if (hot.empty()) {
-    if (base_results.size() > k) base_results.resize(k);
-    return base_results;
-  }
-  base_results.insert(base_results.end(), hot.begin(), hot.end());
-  std::sort(base_results.begin(), base_results.end(), ResultLess);
-  if (base_results.size() > k) base_results.resize(k);
-  return base_results;
+  if (!wanted.has_value() && hot_leaves.empty()) return {};
+
+  KnnQuery::Filters filters;
+  filters.node = [this, &kw, &wanted, &hot_leaves](NodeId n) {
+    if (wanted.has_value() && kw.NodeHasAll(n, *wanted)) return true;
+    const TreeNode& node = tree_.node(n);
+    const auto it = std::lower_bound(hot_leaves.begin(), hot_leaves.end(),
+                                     node.leaf_begin);
+    return it != hot_leaves.end() && *it < node.leaf_end;
+  };
+  filters.object = [&kw, &wanted, snap](ObjectId o) {
+    return wanted.has_value() && !snap->Diverged(o) &&
+           kw.ObjectHasAll(o, *wanted);
+  };
+  return knn_.KnnFilteredWithAscent(q, k, filters, extra,
+                                    knn_.ComputeAscent(q), stats);
 }
 
 }  // namespace viptree

@@ -24,15 +24,14 @@
 //
 // Removals are tombstones: ObjectIndex requires every object id to appear
 // in some leaf, so removed ids stay in the packed CSR at their last known
-// position and are hidden by the query-side object filter. SubtreeCount
-// therefore over-counts after removals, which only weakens pruning (never
-// correctness). PackedParts() — the Save path — compacts to live objects
+// position and are hidden by the query-side object filter; the search
+// discounts them (and the stale base copies of overlaid ids) from its
+// subtree counts. PackedParts() — the Save path — compacts to live objects
 // with densely renumbered ids, so the snapshot *file* format is untouched.
 
 #ifndef VIPTREE_CORE_LIVE_OBJECTS_H_
 #define VIPTREE_CORE_LIVE_OBJECTS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -77,11 +76,9 @@ struct ObjectDelta {
 // written before the atomic publish and never mutated after, so any
 // number of readers share it without synchronization.
 struct ObjectSnapshot {
-  struct OverlayEntry {
-    ObjectId id = kInvalidId;
-    IndoorPoint point;
-    std::vector<std::string> keywords;  // empty on keywordless venues
-  };
+  // An overlay entry carries its access-door distance row, computed once
+  // when the delta that moved or added it was applied.
+  using OverlayEntry = LeafObject;  // core/knn_query.h
 
   // Strictly monotonic per LiveObjectIndex; starts at 1.
   uint64_t epoch = 0;
@@ -96,6 +93,14 @@ struct ObjectSnapshot {
   std::vector<OverlayEntry> overlay;
   // Tombstoned ids, sorted. Disjoint from overlay ids.
   std::vector<ObjectId> removed;
+
+  // The search's view of the above (ExtraObjects): `overlay` indices in
+  // ascending (leaf DFS index, id) order with each leaf's run, and the
+  // running count of base copies readers never report (those of overlaid
+  // and tombstoned ids), both indexed by leaf DFS index.
+  std::vector<uint32_t> overlay_by_leaf;
+  std::vector<uint32_t> overlay_leaf_offsets;  // num_leaves + 1
+  std::vector<uint32_t> hidden_prefix;         // num_leaves + 1
 
   // Live objects: ids ever allocated minus removed.
   size_t num_live = 0;
@@ -113,21 +118,11 @@ struct ObjectSnapshot {
 // complete where the constructors' default arguments need it.
 struct LiveObjectOptions {
   // Overlay size that triggers a merge (full CSR rebuild) on the next
-  // publish. Small by design: every overlay entry costs each query one
-  // exact distance evaluation.
+  // publish. A query scores overlay entries like the packed objects of
+  // their leaves, so entries in pruned subtrees cost it nothing; the
+  // watermark bounds what each publish copies and what the base's
+  // tombstone/overlay filter searches.
   size_t merge_watermark = 64;
-
-  // Scale the watermark by the measured workload instead of using the
-  // fixed value: effective = clamp(merge_watermark * sqrt(updates /
-  // queries), [min_watermark, max_watermark]). Query-heavy venues merge
-  // eagerly (each overlay entry taxes every query with one exact distance
-  // evaluation); update-heavy venues batch more mutations per CSR
-  // rebuild. Counters come from Acquire() (one per read query) and
-  // ApplyDelta (one per mutation) via relaxed atomics; until both have
-  // fired the fixed watermark applies.
-  bool adaptive_watermark = false;
-  size_t min_watermark = 8;
-  size_t max_watermark = 1024;
 };
 
 // The epoch-published object store of one venue. Thread-safe: any number
@@ -193,11 +188,6 @@ class LiveObjectIndex {
   const ObjectIndex& current_base() const { return *Acquire()->base; }
   const KeywordIndex& current_keywords() const { return *Acquire()->keywords; }
 
-  // The merge threshold ApplyDelta will use next: the fixed watermark, or
-  // the query/update-ratio-scaled value under adaptive_watermark (exposed
-  // for tests and the update benchmark).
-  size_t EffectiveMergeWatermark() const;
-
   uint64_t MemoryBytes() const;
 
  private:
@@ -207,15 +197,12 @@ class LiveObjectIndex {
   // Publishes the canonical writer state as the next epoch. Caller holds
   // write_mu_.
   void PublishLocked();
+  // The overlay entry of object `id` at its current writer-state position,
+  // door distance row included. Caller holds write_mu_.
+  ObjectSnapshot::OverlayEntry MakeOverlayEntryLocked(ObjectId id) const;
 
   const IPTree& tree_;
   const Options options_;
-
-  // Workload counters of the adaptive watermark. Relaxed: they only steer
-  // a heuristic, and Acquire() must stay a single uncontended load plus
-  // one relaxed increment.
-  mutable std::atomic<uint64_t> queries_seen_{0};
-  std::atomic<uint64_t> updates_seen_{0};
 
   // Writer-side canonical state, guarded by write_mu_. positions_ and
   // keyword_strings_ cover every id ever allocated (tombstones included).
@@ -239,10 +226,13 @@ class LiveObjectIndex {
 
 // Read-side executor over one pinned ObjectSnapshot: the object-query
 // surface of KnnQuery/KeywordIndex, answering against base + overlay -
-// tombstones. One instance per (thread, snapshot); it owns the mutable
-// search scratch (same contract as the core engines) and keeps its
-// snapshot alive. Rebuild on epoch change — construction allocates that
-// scratch, so pin-and-reuse across queries of one epoch.
+// tombstones in one branch-and-bound search. Overlay entries are scored as
+// members of their leaf (ExtraObjects), so an entry gets the distance, bit
+// for bit, that it gets after the next merge packs it into the CSR, and
+// entries in pruned subtrees are never scored. One instance per thread; it
+// owns the mutable search scratch (same contract as the core engines) and
+// keeps its snapshot alive. Reset re-pins it on a newer epoch and keeps
+// the scratch.
 class SnapshotQuery {
  public:
   // `cache` as in KnnQuery (object positions are per-snapshot state and
@@ -252,6 +242,9 @@ class SnapshotQuery {
                 std::shared_ptr<const ObjectSnapshot> snapshot,
                 const DistanceQueryOptions& options = {},
                 DistanceCache* cache = nullptr);
+
+  // Pins `snapshot` (of the same venue) in place of the current one.
+  void Reset(std::shared_ptr<const ObjectSnapshot> snapshot);
 
   // The k nearest live objects, ascending by (distance, id).
   std::vector<ObjectResult> Knn(const IndoorPoint& q, size_t k,
@@ -289,18 +282,17 @@ class SnapshotQuery {
   }
 
  private:
-  // Scores the overlay (exact distances, every entry reusing q's root
-  // ascent `ascent` = ComputeAscent(q)), merges with sorted base results,
-  // truncates to k within radius.
-  std::vector<ObjectResult> MergeOverlay(
-      std::vector<ObjectResult> base_results, const IndoorPoint& q,
-      const AscentDistances& ascent, size_t k, double radius,
-      const std::vector<std::string>* required_keywords,
-      SearchStats* stats) const;
+  // The pinned overlay as the search's extra objects, admitting all.
+  ExtraObjects Overlay() const {
+    return {&snapshot_->overlay, &snapshot_->overlay_by_leaf,
+            &snapshot_->overlay_leaf_offsets, &snapshot_->hidden_prefix, {}};
+  }
+  // Admits the base objects the snapshot has not overlaid or tombstoned.
+  KnnQuery::Filters LiveBaseFilter() const;
 
+  const IPTree& tree_;
   std::shared_ptr<const ObjectSnapshot> snapshot_;
-  KnnQuery knn_;           // over snapshot_->base
-  IPDistanceQuery exact_;  // overlay distances
+  KnnQuery knn_;  // over snapshot_->base
 };
 
 }  // namespace viptree

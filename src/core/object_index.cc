@@ -11,7 +11,6 @@ namespace viptree {
 
 ObjectIndex::ObjectIndex(const IPTree& tree, std::vector<IndoorPoint> objects)
     : tree_(tree), objects_(std::move(objects)) {
-  const Venue& venue = tree.venue();
   const size_t num_nodes = tree.nodes().size();
 
   // CSR of leaf -> objects (counting sort by leaf id; objects of one leaf
@@ -49,22 +48,9 @@ ObjectIndex::ObjectIndex(const IPTree& tree, std::vector<IndoorPoint> objects)
     const Span<const ObjectId> objs = ObjectsInLeaf(node.id);
     if (objs.empty()) continue;
     double* base = door_dists_.mutable_data() + dist_offsets_[node.id];
-    for (size_t col = 0; col < node.access_doors.size(); ++col) {
-      const DoorId a = node.access_doors[col];
-      double* row = base + col * objs.size();
-      for (size_t i = 0; i < objs.size(); ++i) {
-        const IndoorPoint& obj = objects_[objs[i]];
-        double best = kInfDistance;
-        if (venue.DoorTouches(a, obj.partition)) {
-          best = venue.DistanceToDoor(obj, a);
-        }
-        for (DoorId u : venue.DoorsOf(obj.partition)) {
-          const double cand = tree.LeafMatrixDist(node, u, a) +
-                              venue.DistanceToDoor(obj, u);
-          best = std::min(best, cand);
-        }
-        row[i] = best;
-      }
+    for (size_t i = 0; i < objs.size(); ++i) {
+      AccessDoorDistances(tree, node, objects_[objs[i]], base + i,
+                          objs.size());
     }
   }
 
@@ -78,6 +64,36 @@ ObjectIndex::ObjectIndex(const IPTree& tree, std::vector<IndoorPoint> objects)
     dfs_prefix_[i + 1] = dfs_prefix_[i] + count_at_dfs[i];
   }
   VIPTREE_CHECK(dfs_prefix_.back() == objects_.size());
+}
+
+void ObjectIndex::AccessDoorDistances(const IPTree& tree,
+                                      const TreeNode& leaf,
+                                      const IndoorPoint& obj, double* out,
+                                      size_t stride) {
+  const Venue& venue = tree.venue();
+  // Leaf-matrix row and straight leg of each of the object's doors,
+  // resolved once for all access doors.
+  const Span<const DoorId> doors = venue.DoorsOf(obj.partition);
+  std::vector<std::pair<int, double>> legs;
+  legs.reserve(doors.size());
+  for (const DoorId u : doors) {
+    legs.emplace_back(IPTree::IndexOf(leaf.doors, u),
+                      venue.DistanceToDoor(obj, u));
+  }
+  for (size_t col = 0; col < leaf.access_doors.size(); ++col) {
+    const DoorId a = leaf.access_doors[col];
+    double best = kInfDistance;
+    if (venue.DoorTouches(a, obj.partition)) {
+      best = venue.DistanceToDoor(obj, a);
+    }
+    for (const auto& [row, leg] : legs) {
+      // The leaf matrix's (door, access door) cell, as LeafMatrixDist.
+      const double cand =
+          leaf.dist.at(static_cast<size_t>(row), col) + leg;
+      best = std::min(best, cand);
+    }
+    out[col * stride] = best;
+  }
 }
 
 ObjectIndex::ObjectIndex(FromPartsTag, const IPTree& tree, Parts parts)

@@ -91,6 +91,15 @@ class ObjectIndex {
 
   uint64_t MemoryBytes() const;
 
+  // Exact indoor distances from every access door of `leaf` to `obj`,
+  // which lies in one of the leaf's partitions: out[col * stride] for
+  // access door `col`. The per-object formula behind every distance row;
+  // the live-object overlay (core/live_objects.h) scores its entries with
+  // it too, so an entry matches the row it gets once packed, bit for bit.
+  static void AccessDoorDistances(const IPTree& tree, const TreeNode& leaf,
+                                  const IndoorPoint& obj, double* out,
+                                  size_t stride);
+
  private:
   // Tag keeps the parts constructor out of overload resolution for
   // brace-initialized object lists.

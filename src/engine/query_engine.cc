@@ -76,27 +76,25 @@ Query Query::BooleanKnn(const IndoorPoint& q_point, size_t k,
 struct QueryEngine::Worker {
   VIPDistanceQuery distance;
   VIPPathQuery path;
-  // The pinned epoch's reader. Rebuilt by Refresh only when a publish
+  // The pinned epoch's reader, re-pinned by Refresh when a publish
   // happened since the last query through this worker.
-  std::unique_ptr<SnapshotQuery> objects;
+  SnapshotQuery objects;
 
   explicit Worker(const QueryEngine& engine)
       : distance(engine.tree(), engine.bundle_->query_options(),
                  engine.cache_.get()),
         path(engine.tree(), engine.bundle_->query_options(),
-             engine.cache_.get()) {}
+             engine.cache_.get()),
+        objects(engine.tree().base(), engine.bundle_->live_objects().Acquire(),
+                engine.bundle_->query_options(), engine.cache_.get()) {}
 
   // Pins the current object snapshot: one shared_ptr atomic load per
-  // query, a SnapshotQuery rebuild only on epoch change.
+  // query, a pointer swap (the search scratch is kept) on epoch change.
   SnapshotQuery& Refresh(const QueryEngine& engine) {
     std::shared_ptr<const ObjectSnapshot> current =
         engine.bundle_->live_objects().Acquire();
-    if (objects == nullptr || objects->snapshot_ptr() != current) {
-      objects = std::make_unique<SnapshotQuery>(
-          engine.tree().base(), std::move(current),
-          engine.bundle_->query_options(), engine.cache_.get());
-    }
-    return *objects;
+    if (objects.snapshot_ptr() != current) objects.Reset(std::move(current));
+    return objects;
   }
 };
 

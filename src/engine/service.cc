@@ -10,11 +10,6 @@ namespace engine {
 
 namespace {
 
-// Latency/queue-time sample vectors stop growing here; counters keep
-// counting. Far above any test or bench workload, and it bounds a
-// long-lived service's stats memory at ~16 MB.
-constexpr size_t kMaxStatSamples = size_t{1} << 20;
-
 double MicrosBetween(ServiceClock::time_point from,
                      ServiceClock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
@@ -575,17 +570,13 @@ void Service::RecordStats(const Response& response) {
       if (response.kind == RequestKind::kUpdateObjects) {
         ++updates_;
         ++per_venue_[response.venue_id].updated;
-        if (update_samples_.size() < kMaxStatSamples) {
-          update_samples_.push_back(response.result.latency_micros);
-        }
+        update_micros_.Record(response.result.latency_micros);
         break;
       }
       ++completed_;
       ++per_venue_[response.venue_id].completed;
       visited_nodes_ += response.result.visited_nodes;
-      if (latency_samples_.size() < kMaxStatSamples) {
-        latency_samples_.push_back(response.result.latency_micros);
-      }
+      latency_micros_.Record(response.result.latency_micros);
       break;
     case RequestStatus::kDeadlineExceeded:
       ++expired_;
@@ -603,9 +594,7 @@ void Service::RecordStats(const Response& response) {
       ++cancelled_;
       break;
   }
-  if (queue_samples_.size() < kMaxStatSamples) {
-    queue_samples_.push_back(response.queue_micros);
-  }
+  queue_micros_.Record(response.queue_micros);
 }
 
 size_t Service::QueueDepth() const {
@@ -634,7 +623,7 @@ ServiceStats Service::Stats() const {
           static_cast<double>(completed_) / (stats.wall_millis / 1000.0);
     }
   }
-  stats.latency_micros = Summarize(latency_samples_);
+  stats.latency_micros = latency_micros_.Summarize();
   stats.visited_nodes = visited_nodes_;
   stats.submitted = submitted_;
   stats.rejected = rejected_;
@@ -642,8 +631,8 @@ ServiceStats Service::Stats() const {
   stats.cancelled = cancelled_;
   stats.failed = failed_;
   stats.updates = updates_;
-  stats.update_micros = Summarize(update_samples_);
-  stats.queue_micros = Summarize(queue_samples_);
+  stats.update_micros = update_micros_.Summarize();
+  stats.queue_micros = queue_micros_.Summarize();
   stats.per_venue = per_venue_;
   stats.plan = plan_stats_;
   {

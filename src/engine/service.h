@@ -298,10 +298,13 @@ class Service {
   // waits for in-flight work, joins the workers. Idempotent.
   void Stop();
 
+  // Latency and queue-time distributions come from fixed-size histograms
+  // (common/stats.h): constant memory and cost however long the service
+  // runs, percentiles within 1/64 relative.
   ServiceStats Stats() const;
 
-  // Requests waiting right now (Stats().queue_depth without copying and
-  // sorting the latency samples): cheap enough for a poll thread.
+  // Requests waiting right now (Stats().queue_depth without walking the
+  // per-venue map and the histograms): cheap enough for a poll thread.
   size_t QueueDepth() const;
 
   size_t num_threads() const { return num_threads_; }
@@ -373,7 +376,7 @@ class Service {
   ServiceClock::time_point start_time_{};
   std::vector<std::thread> workers_;
 
-  // Aggregate counters and latency samples, off the queue lock so stats
+  // Aggregate counters and latency histograms, off the queue lock so stats
   // recording never blocks admission.
   mutable std::mutex stats_mu_;
   uint64_t submitted_ = 0;
@@ -384,9 +387,9 @@ class Service {
   uint64_t failed_ = 0;
   uint64_t updates_ = 0;
   uint64_t visited_nodes_ = 0;
-  std::vector<double> latency_samples_;
-  std::vector<double> queue_samples_;
-  std::vector<double> update_samples_;
+  Histogram latency_micros_;
+  Histogram queue_micros_;
+  Histogram update_micros_;
   std::map<std::string, VenueCounters> per_venue_;
   PlanStats plan_stats_;
 

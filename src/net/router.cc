@@ -130,9 +130,22 @@ std::vector<std::pair<std::string, size_t>> Router::Assignments() const {
   return out;
 }
 
+namespace {
+
+void Bump(std::atomic<uint64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 RouterCounters Router::counters() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return counters_;
+  const auto get = [](const std::atomic<uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  return {get(counters_.requests_forwarded),
+          get(counters_.responses_returned),  get(counters_.failovers),
+          get(counters_.no_shard_rejections), get(counters_.protocol_errors),
+          get(counters_.shard_disconnects)};
 }
 
 WireStats Router::FleetStats() const {
@@ -409,10 +422,7 @@ bool Router::ServiceClientReadable(const std::shared_ptr<ClientConn>& conn) {
     if (conn->poisoned) break;
   }
   if (conn->decoder.failed() && !conn->poisoned) {
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.protocol_errors;
-    }
+    Bump(counters_.protocol_errors);
     conn->poisoned = true;
     AppendToClient(conn, EncodeErrorFrame(conn->decoder.error(), 0));
   }
@@ -430,10 +440,7 @@ void Router::HandleClientFrame(const std::shared_ptr<ClientConn>& conn,
           Span<const uint8_t>(frame.payload.data(), frame.payload.size()));
       std::string error;
       if (!DecodeRequestPayload(&reader, &request, &error)) {
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++counters_.protocol_errors;
-        }
+        Bump(counters_.protocol_errors);
         conn->poisoned = true;
         AppendToClient(
             conn, EncodeErrorFrame("request decode: " + error, frame.tag));
@@ -471,10 +478,7 @@ void Router::HandleClientFrame(const std::shared_ptr<ClientConn>& conn,
       return;
     }
     default: {
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.protocol_errors;
-      }
+      Bump(counters_.protocol_errors);
       conn->poisoned = true;
       AppendToClient(conn, EncodeErrorFrame(
                                std::string("unexpected ") +
@@ -513,16 +517,12 @@ void Router::RoutePending(uint64_t router_tag) {
                                   pending.payload.size()),
               &conn->outbox);
   MarkDirty(conn);
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++counters_.requests_forwarded;
-  if (pending.attempts > 1) ++counters_.failovers;
+  Bump(counters_.requests_forwarded);
+  if (pending.attempts > 1) Bump(counters_.failovers);
 }
 
 void Router::RejectPending(Pending pending, const std::string& reason) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.no_shard_rejections;
-  }
+  Bump(counters_.no_shard_rejections);
   if (pending.client == nullptr || pending.client->closed) return;
   WireResponse response;
   response.status = engine::RequestStatus::kRejected;
@@ -561,10 +561,7 @@ bool Router::HandleShardFrame(ShardConn* conn, Frame frame) {
       if (it == pending_.end()) return true;  // duplicate post-failover: drop
       Pending pending = std::move(it->second);
       pending_.erase(it);
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        ++counters_.responses_returned;
-      }
+      Bump(counters_.responses_returned);
       if (pending.client == nullptr || pending.client->closed) return true;
       AppendFrame(FrameType::kResponse, pending.client_tag,
                   Span<const uint8_t>(frame.payload.data(),
@@ -614,9 +611,9 @@ void Router::FailShardConn(ShardConn* conn) {
   conn->outbox.clear();
   conn->out_pos = 0;
   conn->decoder = FrameDecoder();
+  Bump(counters_.shard_disconnects);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.shard_disconnects;
     shard_healthy_snapshot_[conn->shard] = ShardHealthy(shards_[conn->shard]);
   }
 

@@ -213,8 +213,9 @@ class Router {
   std::atomic<bool> drain_requested_{false};
   std::atomic<bool> stop_requested_{false};
 
-  // Everything below is loop-thread-owned, except the three mutable
-  // snapshots guarded by stats_mu_ for the in-process accessors.
+  // Everything below is loop-thread-owned, except the counters (relaxed
+  // atomics: written by the loop thread only, read by counters()) and the
+  // two shard snapshots guarded by stats_mu_ for the in-process accessors.
   std::map<int, std::shared_ptr<ClientConn>> clients_;
   std::map<uint64_t, Pending> pending_;
   // Connections with unsent frames from this loop turn, each listed once,
@@ -224,8 +225,17 @@ class Router {
   uint64_t next_router_tag_ = 1;
   uint64_t probe_tag_ = 0;
 
+  struct AtomicCounters {
+    std::atomic<uint64_t> requests_forwarded{0};
+    std::atomic<uint64_t> responses_returned{0};
+    std::atomic<uint64_t> failovers{0};
+    std::atomic<uint64_t> no_shard_rejections{0};
+    std::atomic<uint64_t> protocol_errors{0};
+    std::atomic<uint64_t> shard_disconnects{0};
+  };
+  AtomicCounters counters_;
+
   mutable std::mutex stats_mu_;
-  RouterCounters counters_;
   std::vector<WireStats> shard_stats_snapshot_;
   std::vector<bool> shard_healthy_snapshot_;
 };
