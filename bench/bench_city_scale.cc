@@ -8,9 +8,8 @@
 //      through engine::QueryEngine at growing venue scale, with the City
 //      tier (synth/presets.h) carrying an object set that reaches ~10^6 at
 //      VIPTREE_SCALE=1.0.
-//   3. Bounded-RSS demo — the largest swept venue saved as a v2 snapshot
-//      and served through a VenueRegistry configured with
-//      MadvisePolicy::kDontneedOnRelease: PSS is sampled after querying
+//   3. Bounded-RSS demo — the largest swept venue saved as a snapshot and
+//      served through a VenueRegistry: PSS is sampled after querying
 //      (pages faulted in) and after eviction (pages returned to the OS
 //      while the bundle reference is still alive).
 //
@@ -221,7 +220,7 @@ void PrintSweep(const std::vector<SweepRow>& rows) {
 }
 
 // --------------------------------------------------------------------------
-// Part 3: bounded RSS under MadvisePolicy::kDontneedOnRelease.
+// Part 3: bounded RSS across registry eviction.
 // --------------------------------------------------------------------------
 
 // Proportional set size in KiB (see bench_mmap_load.cc for the rationale).
@@ -266,11 +265,9 @@ void PrintBoundedRssDemo(synth::Dataset dataset) {
     return;
   }
 
-  eng::VenueBundle::LoadOptions load;
-  load.madvise = io::MadvisePolicy::kDontneedOnRelease;
   std::string error;
   std::optional<eng::VenueRegistry> registry =
-      eng::VenueRegistry::Open(manifest, &error, load);
+      eng::VenueRegistry::Open(manifest, &error);
   if (!registry.has_value()) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return;
@@ -292,10 +289,10 @@ void PrintBoundedRssDemo(synth::Dataset dataset) {
     KeepAlive(engine.Run(eng::Query::Distance(a, b)));
   }
   const long pss_resident = PssKib();
-  registry->Evict("city");  // policy => pages returned to the OS
+  registry->Evict("city");  // pages returned to the OS
   const long pss_evicted = PssKib();
 
-  std::printf("=== bounded RSS under kDontneedOnRelease (%s snapshot) ===\n",
+  std::printf("=== bounded RSS across registry eviction (%s snapshot) ===\n",
               synth::InfoFor(dataset).name.c_str());
   std::printf("PSS before load:        %8ld KiB\n", pss_before_load);
   std::printf("PSS after 200 queries:  %8ld KiB\n", pss_resident);

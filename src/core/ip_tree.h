@@ -87,7 +87,7 @@ class IPTree {
     uint32_t row = 0;
   };
   using DoorLeafPair = std::array<DoorLeafEntry, 2>;
-  // Persisted as raw bytes in format-v2 snapshots (aliased out of the
+  // Persisted as raw bytes in snapshots (aliased out of the
   // mapped file), so the layout must stay padding-free.
   static_assert(sizeof(DoorLeafPair) == 16,
                 "DoorLeafPair must stay a packed 16 bytes");

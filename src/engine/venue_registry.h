@@ -1,8 +1,8 @@
 // VenueRegistry: one process serving a *fleet* of venues off disk. A plain
 // text manifest maps venue ids to snapshot files; Acquire(venue_id) lazily
-// loads the snapshot (zero-copy mmap for format-v2 files) and hands out a
-// shared immutable VenueBundle, so the process-wide cost of a registered
-// venue is O(resident-pages) of its mapped snapshot until it is queried —
+// loads the snapshot (zero-copy mmap) and hands out a shared immutable
+// VenueBundle, so the process-wide cost of a registered venue is
+// O(resident-pages) of its mapped snapshot until it is queried —
 // the multi-venue deployment shape ROADMAP calls for and the indoor-index
 // experimental literature identifies as memory-bound.
 //
@@ -26,8 +26,10 @@
 // Residency policy: RegistryOptions::max_resident_venues caps how many
 // bundles stay cached at once. When a load would exceed the cap, the
 // least-recently-acquired resident bundle is evicted (outstanding
-// shared_ptrs stay valid — eviction only drops the cache's reference), so
-// a fleet process's memory tracks its working set, not its manifest.
+// shared_ptrs stay valid — eviction only drops the cache's reference and
+// returns the snapshot mapping's resident pages to the OS, which later
+// queries re-fault), so a fleet process's memory tracks its working set,
+// not its manifest.
 
 #ifndef VIPTREE_ENGINE_VENUE_REGISTRY_H_
 #define VIPTREE_ENGINE_VENUE_REGISTRY_H_
@@ -96,8 +98,9 @@ class VenueRegistry {
   std::shared_ptr<const VenueBundle> Acquire(const std::string& venue_id,
                                              std::string* error = nullptr);
 
-  // Drops the cached bundle (no-op if not resident). Outstanding
-  // shared_ptrs stay valid; the snapshot is re-loaded on the next Acquire.
+  // Drops the cached bundle (no-op if not resident) and returns its mapped
+  // pages to the OS. Outstanding shared_ptrs stay valid; the snapshot is
+  // re-loaded on the next Acquire.
   void Evict(const std::string& venue_id);
 
   // Is this venue's bundle currently cached?
@@ -130,7 +133,7 @@ class VenueRegistry {
   void EnforceResidencyCapLocked();
 
   // Drops an entry's cached bundle, first returning its mapped pages to
-  // the OS when the load options ask for kDontneedOnRelease.
+  // the OS.
   void ReleaseBundleLocked(Entry& entry);
 
   VenueBundle::LoadOptions load_options_;

@@ -31,7 +31,7 @@ struct D2DEdge {
   PartitionId via = kInvalidId;  // the partition this edge walks through
 };
 
-// Edges are persisted as raw bytes in format-v2 snapshots and aliased
+// Edges are persisted as raw bytes in snapshots and aliased
 // straight out of the mapped file, so the layout must stay padding-free.
 static_assert(sizeof(D2DEdge) == 12, "D2DEdge must stay a packed 12 bytes");
 

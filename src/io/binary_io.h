@@ -85,13 +85,7 @@ class Writer {
   }
 
   // Bulk little-endian array appends (single memcpy on LE hosts).
-  void U32Array(Span<const uint32_t> v) { AppendArray(v); }
-  void U64Array(Span<const uint64_t> v) { AppendArray(v); }
   void I32Array(Span<const int32_t> v) {
-    AppendArray(Span<const uint32_t>(
-        reinterpret_cast<const uint32_t*>(v.data()), v.size()));
-  }
-  void F32Array(Span<const float> v) {
     AppendArray(Span<const uint32_t>(
         reinterpret_cast<const uint32_t*>(v.data()), v.size()));
   }
@@ -181,12 +175,7 @@ class Reader {
   // Bulk little-endian array reads into pre-sized destinations (single
   // memcpy on LE hosts). On failure the destination contents are
   // unspecified and the reader carries the error.
-  void U32Array(uint32_t* out, size_t n) { ReadArray(out, n); }
-  void U64Array(uint64_t* out, size_t n) { ReadArray(out, n); }
   void I32Array(int32_t* out, size_t n) {
-    ReadArray(reinterpret_cast<uint32_t*>(out), n);
-  }
-  void F32Array(float* out, size_t n) {
     ReadArray(reinterpret_cast<uint32_t*>(out), n);
   }
   void F64Array(double* out, size_t n) {

@@ -101,7 +101,7 @@ TEST_F(RegistryTest, AcquireLoadsLazilyAndShares) {
   const std::shared_ptr<const eng::VenueBundle> a =
       registry->Acquire("venue-3", &error);
   ASSERT_NE(a, nullptr) << error;
-  EXPECT_TRUE(a->zero_copy());  // v2 snapshot => mmap-backed
+  EXPECT_TRUE(a->zero_copy());  // default load => mmap-backed
   EXPECT_EQ(registry->NumResident(), 1u);
   EXPECT_GT(registry->ResidentIndexBytes(), 0u);
 

@@ -120,23 +120,20 @@ TEST_P(SnapshotRoundTripTest, LoadedEngineAnswersIdentically) {
   std::string error;
   const std::unique_ptr<eng::QueryEngine> loaded =
       eng::QueryEngine::TryLoad(path, &error);
-  std::remove(path.c_str());
   ASSERT_NE(loaded, nullptr) << error;
-  // The default save is format v2 and loads through the zero-copy arena.
+  // The default load maps the file and aliases the index into it.
   EXPECT_TRUE(loaded->bundle().zero_copy());
 
-  // The same bundle written in the legacy v1 layout must load through the
-  // copying path and answer just as bit-identically.
-  const std::string v1_path = TempSnapshotPath(seed + 5000);
-  io::SnapshotWriteOptions v1;
-  v1.version = io::kLegacyFormatVersion;
-  ASSERT_TRUE(built.bundle().Save(v1_path, v1).ok());
-  std::optional<eng::VenueBundle> v1_bundle =
-      eng::VenueBundle::TryLoad(v1_path, &error);
-  std::remove(v1_path.c_str());
-  ASSERT_TRUE(v1_bundle.has_value()) << error;
-  EXPECT_FALSE(v1_bundle->zero_copy());
-  const eng::QueryEngine v1_loaded(std::move(*v1_bundle));
+  // The same file read without mmap decodes into owned buffers (the
+  // copying decoder) and must answer just as bit-identically.
+  eng::VenueBundle::LoadOptions copying;
+  copying.use_mmap = false;
+  std::optional<eng::VenueBundle> copied_bundle =
+      eng::VenueBundle::TryLoad(path, &error, copying);
+  std::remove(path.c_str());
+  ASSERT_TRUE(copied_bundle.has_value()) << error;
+  EXPECT_FALSE(copied_bundle->zero_copy());
+  const eng::QueryEngine copied(std::move(*copied_bundle));
 
   // The loaded bundle mirrors the built one structurally...
   EXPECT_EQ(loaded->venue().NumPartitions(), built.venue().NumPartitions());
@@ -150,13 +147,12 @@ TEST_P(SnapshotRoundTripTest, LoadedEngineAnswersIdentically) {
   EXPECT_EQ(loaded->has_keywords(), with_keywords);
 
   // ...and answers the whole mixed workload bit-identically — through both
-  // the zero-copy v2 load and the copying v1 load.
+  // the zero-copy mmap load and the copying load.
   const std::vector<eng::Query> queries =
       MixedWorkload(built.venue(), seed, with_keywords);
   const std::vector<eng::Result> built_results = built.RunSequential(queries);
   ExpectIdenticalResults(built_results, loaded->RunSequential(queries), seed);
-  ExpectIdenticalResults(built_results, v1_loaded.RunSequential(queries),
-                         seed);
+  ExpectIdenticalResults(built_results, copied.RunSequential(queries), seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotRoundTripTest,

@@ -86,7 +86,6 @@ struct Args {
   // Cross-request distance cache (core/distance_cache.h). Off by default:
   // the cache only pays off on workloads that repeat door pairs.
   bool cache = false;
-  CachePolicy cache_policy = CachePolicy::kLru;
   size_t cache_capacity = DistanceCacheOptions{}.capacity;
   // Execution-planner coalescing (engine/exec_plan.h). Off by default:
   // batch mode forwards it to RunBatch, serve mode to the Service workers.
@@ -100,13 +99,13 @@ void Usage(const char* argv0) {
       "usage: %s (--snapshot PATH | --registry MANIFEST --venue ID)\n"
       "          [--queries N] [--threads T] [--seed S]\n"
       "          [--mix mixed|distance|path|knn|range]\n"
-      "          [--cache] [--cache-policy lru|2q|s2q] [--cache-capacity N]\n"
+      "          [--cache] [--cache-capacity N]\n"
       "          [--coalesce] [--coalesce-window K]\n"
       "          [--emit-workload [--updates U]]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --serve\n"
       "          [--input FILE] [--threads T] [--deadline-ms D]\n"
-      "          [--queue-capacity C] [--cache] [--cache-policy P]\n"
-      "          [--cache-capacity N] [--coalesce] [--coalesce-window K]\n"
+      "          [--queue-capacity C] [--cache] [--cache-capacity N]\n"
+      "          [--coalesce] [--coalesce-window K]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --listen PORT\n"
       "          [--threads T] [--queue-capacity C] [--cache] [--coalesce]\n"
       "       %s --connect HOST:PORT [--input FILE] [--deadline-ms D]\n"
@@ -119,7 +118,7 @@ void Usage(const char* argv0) {
       "of an in-process Service.\n"
       "\n"
       "Loads a VIP-Tree snapshot — directly, or by venue id through a\n"
-      "multi-venue registry manifest (zero-copy mmap for v2 snapshots) —\n"
+      "multi-venue registry manifest (zero-copy mmap) —\n"
       "and runs a random query batch against it; --serve instead reads\n"
       "requests line-by-line (queries plus move/add/remove live-object\n"
       "update lines) and submits them through the async engine::Service\n"
@@ -129,7 +128,7 @@ void Usage(const char* argv0) {
       "10%% boolean keyword kNN (keyword queries fall back to kNN when\n"
       "the snapshot has no keyword index). --cache turns on the exact\n"
       "cross-request door-pair distance cache (results are bit-identical\n"
-      "with and without it); --cache-policy picks the eviction policy;\n"
+      "with and without it; least-recently-used eviction);\n"
       "--cache-capacity 0 (default) sizes the cache from the venue's\n"
       "door count. --coalesce turns on the execution planner: workers\n"
       "pull up to --coalesce-window K (default %zu) queued same-venue\n"
@@ -203,14 +202,6 @@ bool Parse(int argc, char** argv, Args* args) {
       args->mix = v;
     } else if (flag == "--cache") {
       args->cache = true;
-    } else if (flag == "--cache-policy") {
-      if ((v = value()) == nullptr) return false;
-      if (!ParseCachePolicy(v, &args->cache_policy)) {
-        std::fprintf(stderr, "%s: unknown --cache-policy '%s' "
-                     "(expected lru, 2q or s2q)\n", argv[0], v);
-        return false;
-      }
-      args->cache = true;  // naming a policy implies --cache
     } else if (flag == "--cache-capacity") {
       if ((v = value()) == nullptr) return false;
       args->cache_capacity = static_cast<size_t>(std::atol(v));
@@ -295,7 +286,6 @@ bool Parse(int argc, char** argv, Args* args) {
 DistanceCacheOptions CacheOptionsFrom(const Args& args) {
   DistanceCacheOptions options;
   options.enabled = args.cache;
-  options.policy = args.cache_policy;
   options.capacity = args.cache_capacity;
   return options;
 }
@@ -356,10 +346,9 @@ void PrintPlanStats(const eng::PlanStats& plan) {
   std::printf("\n");
 }
 
-void PrintCacheStats(const CacheCounters& cache, CachePolicy policy) {
-  std::printf("  cache (%s)    %llu hits, %llu misses (%.1f%% hit rate), "
+void PrintCacheStats(const CacheCounters& cache) {
+  std::printf("  cache (lru)    %llu hits, %llu misses (%.1f%% hit rate), "
               "%llu evictions\n",
-              CachePolicyName(policy),
               static_cast<unsigned long long>(cache.hits),
               static_cast<unsigned long long>(cache.misses),
               100.0 * cache.hit_rate(),
@@ -570,7 +559,7 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   if (stats.updates > 0) {
     std::printf("  update p99    %10.2f us\n", stats.update_micros.p99);
   }
-  if (args.cache) PrintCacheStats(stats.cache, args.cache_policy);
+  if (args.cache) PrintCacheStats(stats.cache);
   if (args.coalesce) PrintPlanStats(stats.plan);
   for (const auto& [venue_id, counters] : stats.per_venue) {
     std::printf("  venue %-12s %llu ok, %llu updates, %llu expired, "
@@ -896,7 +885,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.visited_nodes));
   if (args.coalesce) PrintPlanStats(stats.plan);
   if (args.cache) {
-    PrintCacheStats(engine->distance_cache()->Counters(), args.cache_policy);
+    PrintCacheStats(engine->distance_cache()->Counters());
   }
   return 0;
 }
