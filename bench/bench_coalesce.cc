@@ -1,15 +1,18 @@
-// A/B benchmark for the execution planner (engine/exec_plan.h): coalesced
-// RunBatch vs sequential RunBatch vs the cross-request distance cache on
-// source-skewed batches — the access pattern coalescing exists for (many
-// concurrent queries leaving the same entrance/lobby/POI, a zipfian
-// distribution over a small hot source pool).
+// A/B benchmark for the execution planner (engine/exec_plan.h): planner-
+// served RunBatch vs planner-free sequential execution vs the
+// cross-request distance cache on source-skewed batches — the access
+// pattern the planner exists for (many concurrent queries leaving the
+// same entrance/lobby/POI, a zipfian distribution over a small hot source
+// pool).
 //
 // Three configurations per workload, all single-threaded so the ratio
 // isolates the planner (not parallelism):
-//   sequential  RunBatch, coalescing off, cache off — the baseline;
-//   coalesced   RunBatch, coalescing on (window 64), cache off;
-//   cache       RunBatch, coalescing off, LRU distance cache on — the
-//               PR-8 alternative way to exploit repetition, for context.
+//   sequential  RunSequential (one Run per query), cache off — the
+//               baseline;
+//   coalesced   RunBatch on one worker: groups of kMaxGroupSize queries
+//               through the planner, as a serving worker pulls them;
+//   cache       RunSequential with the LRU distance cache on — the
+//               alternative way to exploit repetition, for context.
 //
 // Results are bit-identical across all configurations (the planner's
 // contract); the bench CHECKs coalesced against sequential as it runs and
@@ -31,10 +34,6 @@ namespace bench {
 namespace {
 
 constexpr size_t kHotSources = 16;  // distinct sources in the zipfian pool
-// Whole-batch window: RunBatch hands the planner the full batch at once,
-// so the ratio measures the planner's grouping, not how a latency-bounded
-// serving window happens to fragment it (the Service default stays 64).
-constexpr size_t kWindow = 4096;
 
 // Zipfian sampler over ranks 0..n-1: P(r) proportional to 1/(r+1). The
 // classic "everyone routes from the main entrance" skew — rank 0 draws
@@ -109,19 +108,22 @@ bool BitIdentical(const engine::Result& a, const engine::Result& b) {
 struct RunResult {
   double wall_ms = 0.0;
   double qps = 0.0;
-  engine::BatchResult batch;
+  std::vector<engine::Result> results;
+  engine::PlanStats plan;
 };
 
 RunResult RunOnce(const engine::QueryEngine& engine,
-                  const std::vector<engine::Query>& queries, bool coalesce) {
-  engine::BatchOptions options;
-  options.num_threads = 1;
-  options.coalesce.enabled = coalesce;
-  options.coalesce.window = kWindow;
+                  const std::vector<engine::Query>& queries, bool planner) {
+  const Span<const engine::Query> span(queries.data(), queries.size());
   RunResult run;
   const Timer wall;
-  run.batch = engine.RunBatch(
-      Span<const engine::Query>(queries.data(), queries.size()), options);
+  if (planner) {
+    engine::BatchResult batch = engine.RunBatch(span, {/*num_threads=*/1});
+    run.results = std::move(batch.results);
+    run.plan = batch.stats.plan;
+  } else {
+    run.results = engine.RunSequential(span);
+  }
   run.wall_ms = wall.ElapsedMillis();
   run.qps = queries.size() / (run.wall_ms / 1000.0);
   return run;
@@ -130,24 +132,24 @@ RunResult RunOnce(const engine::QueryEngine& engine,
 void RunWorkload(engine::QueryEngine& engine, const char* label,
                  const std::vector<engine::Query>& queries) {
   // Warm-up pass so lazily-built structures don't bias the first timing.
-  RunOnce(engine, queries, /*coalesce=*/false);
+  RunOnce(engine, queries, /*planner=*/false);
 
-  const RunResult sequential = RunOnce(engine, queries, /*coalesce=*/false);
-  const RunResult coalesced = RunOnce(engine, queries, /*coalesce=*/true);
+  const RunResult sequential = RunOnce(engine, queries, /*planner=*/false);
+  const RunResult coalesced = RunOnce(engine, queries, /*planner=*/true);
   for (size_t i = 0; i < queries.size(); ++i) {
     VIPTREE_CHECK_MSG(
-        BitIdentical(sequential.batch.results[i], coalesced.batch.results[i]),
-        "coalesced RunBatch diverged from sequential");
+        BitIdentical(sequential.results[i], coalesced.results[i]),
+        "planner-served RunBatch diverged from RunSequential");
   }
 
   // The caching alternative: same sequential execution, exact memoization.
   DistanceCacheOptions cache_options;
   cache_options.enabled = true;
   engine.EnableDistanceCache(cache_options);
-  const RunResult cached = RunOnce(engine, queries, /*coalesce=*/false);
+  const RunResult cached = RunOnce(engine, queries, /*planner=*/false);
   engine.SetDistanceCache(nullptr);
 
-  const engine::PlanStats& plan = coalesced.batch.stats.plan;
+  const engine::PlanStats& plan = coalesced.plan;
   std::printf("%s: %zu queries\n", label, queries.size());
   std::printf("  %-10s %10.2f ms %12.0f q/s\n", "sequential",
               sequential.wall_ms, sequential.qps);

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,12 +23,41 @@
 #include "baselines/engines.h"
 #include "common/rng.h"
 #include "engine/query_engine.h"
+#include "engine/service.h"
 #include "graph/d2d_graph.h"
 #include "synth/objects.h"
 #include "synth/presets.h"
 
 namespace viptree {
 namespace bench {
+
+// Open-loop sojourn recorder: a streaming Service sink that, for a request
+// tagged with its arrival index, records the time from Sent(tag) to the
+// delivery of its kOk response.
+class SojournSink : public engine::ResponseSink {
+ public:
+  explicit SojournSink(size_t arrivals) : sent_(arrivals) {}
+
+  // Call before submitting the request tagged `tag`.
+  void Sent(uint64_t tag) { sent_[tag] = engine::ServiceClock::now(); }
+
+  void Deliver(const engine::Response& response) override {
+    if (!response.ok()) return;
+    const double micros = std::chrono::duration<double, std::micro>(
+                              engine::ServiceClock::now() - sent_[response.tag])
+                              .count();
+    std::lock_guard<std::mutex> lock(mu_);
+    micros_.push_back(micros);
+  }
+
+  // Safe once the service has drained.
+  const std::vector<double>& micros() const { return micros_; }
+
+ private:
+  std::vector<engine::ServiceClock::time_point> sent_;
+  std::mutex mu_;
+  std::vector<double> micros_;
+};
 
 inline double EnvScaleOverride() {
   const char* env = std::getenv("VIPTREE_SCALE");

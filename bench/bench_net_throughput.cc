@@ -94,32 +94,23 @@ TierReport RunInProcess(eng::Service& service,
     const double rate = std::max(500.0, report.pipelined_rps * 0.7);
     const auto gap = std::chrono::duration_cast<eng::ServiceClock::duration>(
         std::chrono::duration<double>(1.0 / rate));
-    std::mutex mu;
-    std::vector<double> sojourn;
-    sojourn.reserve(requests.size());
+    const auto sink = std::make_shared<SojournSink>(requests.size());
     const Timer wall;
     eng::ServiceClock::time_point arrival = eng::ServiceClock::now();
-    for (const eng::Request& request : requests) {
+    for (size_t i = 0; i < requests.size(); ++i) {
       std::this_thread::sleep_until(arrival);
-      const eng::ServiceClock::time_point sent = eng::ServiceClock::now();
-      eng::Request copy = request;
-      service.Submit(std::move(copy), [&mu, &sojourn, sent](
-                                          const eng::Response& response) {
-        if (!response.ok()) return;
-        const double micros = std::chrono::duration<double, std::micro>(
-                                  eng::ServiceClock::now() - sent)
-                                  .count();
-        std::lock_guard<std::mutex> lock(mu);
-        sojourn.push_back(micros);
-      });
+      eng::Request copy = requests[i];
+      copy.tag = i;
+      sink->Sent(i);
+      service.Submit(std::move(copy), sink);
       arrival += gap;
     }
     service.Drain();
     const double s = wall.ElapsedSeconds();
-    report.sojourn_micros = Summarize(sojourn);
+    report.sojourn_micros = Summarize(sink->micros());
     report.offered_rps = rate;
     report.achieved_rps = s > 0.0 ? requests.size() / s : 0.0;
-    report.answered = sojourn.size();
+    report.answered = sink->micros().size();
   }
   return report;
 }

@@ -12,7 +12,7 @@
 //      a temp registry, a multi-venue Service routes a paced request
 //      stream (arrivals at ~70% of measured capacity, independent of
 //      completions — the "requests arrive whether you are ready or not"
-//      regime), and the sojourn latency (arrival -> callback) p50/p99 is
+//      regime), and the sojourn latency (arrival -> delivery) p50/p99 is
 //      reported along with sustained qps and the per-venue counters.
 //
 //   VIPTREE_SCALE= / VIPTREE_QUERIES= shrink or grow the workload as with
@@ -182,35 +182,24 @@ int Main() {
     const auto gap = std::chrono::duration_cast<eng::ServiceClock::duration>(
         std::chrono::duration<double>(1.0 / rate));
 
-    std::mutex mu;
-    std::vector<double> sojourn_micros;
-    sojourn_micros.reserve(n);
+    const auto sink = std::make_shared<SojournSink>(n);
     const eng::ServiceClock::time_point t0 = eng::ServiceClock::now();
     eng::ServiceClock::time_point arrival = t0;
     for (size_t i = 0; i < n; ++i) {
       std::this_thread::sleep_until(arrival);
-      const eng::ServiceClock::time_point sent = eng::ServiceClock::now();
       eng::Request request;
       request.venue_id = ids[i % ids.size()];
       request.query = queries[i];
       request.tag = i;
-      service.Submit(std::move(request),
-                     [&mu, &sojourn_micros, sent](const eng::Response& r) {
-                       if (!r.ok()) return;
-                       const double micros =
-                           std::chrono::duration<double, std::micro>(
-                               eng::ServiceClock::now() - sent)
-                               .count();
-                       std::lock_guard<std::mutex> lock(mu);
-                       sojourn_micros.push_back(micros);
-                     });
+      sink->Sent(i);
+      service.Submit(std::move(request), sink);
       arrival += gap;
     }
     service.Drain();
     const double elapsed_s =
         std::chrono::duration<double>(eng::ServiceClock::now() - t0).count();
     const eng::ServiceStats stats = service.Stats();
-    const Summary sojourn = Summarize(sojourn_micros);
+    const Summary sojourn = Summarize(sink->micros());
     std::printf("%8zu %10zu %12.0f %12.0f %10.1f %10.1f %9llu\n",
                 num_venues, stats.num_threads, rate,
                 elapsed_s > 0.0 ? n / elapsed_s : 0.0, sojourn.p50,

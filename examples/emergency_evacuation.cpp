@@ -57,23 +57,23 @@ int main() {
                                       venue.door(exit).position});
   }
 
-  // Stream the whole (occupant, exit) matrix through the service: the tag
-  // encodes the slot, each callback writes its own disjoint cell (Drain's
-  // synchronization publishes them to this thread), so no lock is needed.
+  // Stream the whole (occupant, exit) matrix through the service into one
+  // sink: the tag encodes the slot, each delivery writes its own disjoint
+  // cell (Drain's synchronization publishes them to this thread), so no
+  // lock is needed.
   const size_t num_exits = exit_points.size();
   std::vector<double> distances(occupants.size() * num_exits, kInfDistance);
+  const std::shared_ptr<engine::ResponseSink> sink = engine::MakeCallbackSink(
+      [&distances](const engine::Response& response) {
+        if (response.ok()) distances[response.tag] = response.result.distance;
+      });
   Timer timer;
   for (size_t i = 0; i < occupants.size(); ++i) {
     for (size_t e = 0; e < num_exits; ++e) {
       engine::Request request;
       request.query = engine::Query::Distance(occupants[i], exit_points[e]);
       request.tag = i * num_exits + e;
-      service.Submit(std::move(request),
-                     [&distances](const engine::Response& response) {
-                       if (response.ok()) {
-                         distances[response.tag] = response.result.distance;
-                       }
-                     });
+      service.Submit(std::move(request), sink);
     }
   }
   service.Drain();

@@ -75,23 +75,24 @@ int main() {
     // the moment the door sequence is ready.
     engine::Request path_request;
     path_request.query = engine::Query::Path(shopper, w);
-    service.Submit(std::move(path_request),
-                   [&venue, &print_mu](const engine::Response& path_response) {
-                     if (!path_response.ok()) return;
-                     const auto& doors = path_response.result.doors;
-                     int level_changes = 0;
-                     for (size_t i = 0; i + 1 < doors.size(); ++i) {
-                       const int la = static_cast<int>(
-                           venue.door(doors[i]).position.z);
-                       const int lb = static_cast<int>(
-                           venue.door(doors[i + 1]).position.z);
-                       if (la != lb) ++level_changes;
-                     }
-                     std::lock_guard<std::mutex> lock(print_mu);
-                     std::printf(
-                         "route crosses %zu doors with %d level change(s)\n",
-                         doors.size(), level_changes);
-                   });
+    service.Submit(
+        std::move(path_request),
+        engine::MakeCallbackSink(
+            [&venue, &print_mu](const engine::Response& path_response) {
+              if (!path_response.ok()) return;
+              const auto& doors = path_response.result.doors;
+              int level_changes = 0;
+              for (size_t i = 0; i + 1 < doors.size(); ++i) {
+                const int la =
+                    static_cast<int>(venue.door(doors[i]).position.z);
+                const int lb =
+                    static_cast<int>(venue.door(doors[i + 1]).position.z);
+                if (la != lb) ++level_changes;
+              }
+              std::lock_guard<std::mutex> lock(print_mu);
+              std::printf("route crosses %zu doors with %d level change(s)\n",
+                          doors.size(), level_changes);
+            }));
   }
 
   // "accessible toilets within 100 meters": boolean-keyword kNN filtered
@@ -102,7 +103,7 @@ int main() {
       engine::Query::BooleanKnn(shopper, 3, {"accessible"});
   service.Submit(
       std::move(accessible_request),
-      [&](const engine::Response& r) {
+      engine::MakeCallbackSink([&](const engine::Response& r) {
         if (!r.ok()) return;
         auto matches = r.result.objects;
         matches.erase(std::remove_if(matches.begin(), matches.end(),
@@ -119,17 +120,18 @@ int main() {
                           .name.c_str(),
                       m.distance);
         }
-      });
+      }));
   engine::Request range_request;
   range_request.query = engine::Query::Range(shopper, 100.0);
-  service.Submit(std::move(range_request), [&](const engine::Response& r) {
-    if (!r.ok()) return;
-    std::lock_guard<std::mutex> lock(print_mu);
-    std::printf("%zu washroom(s) of any kind within 100 m\n",
-                r.result.objects.size());
-  });
+  service.Submit(std::move(range_request),
+                 engine::MakeCallbackSink([&](const engine::Response& r) {
+                   if (!r.ok()) return;
+                   std::lock_guard<std::mutex> lock(print_mu);
+                   std::printf("%zu washroom(s) of any kind within 100 m\n",
+                               r.result.objects.size());
+                 }));
 
-  // Every submitted request (and its callback) completes before Drain
+  // Every submitted request (and its delivery) completes before Drain
   // returns; Stop joins the resident workers.
   service.Drain();
   const engine::ServiceStats stats = service.Stats();

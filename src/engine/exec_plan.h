@@ -24,14 +24,15 @@
 // the core entry points and kernels). Grouping changes only the work
 // shared, never the result — enforced by tests/coalesce_differential_test.
 //
-// Wiring: QueryEngine::RunCoalesced executes one planned span on the
-// resident worker; engine::Service workers pull up to
-// CoalesceOptions::window contiguous same-venue queries from the queue
-// into one group (deadline-aware: grouping only takes already-queued
-// work, so a group never waits for more arrivals, and each member is
-// still shed individually if its deadline passed at pickup);
-// QueryEngine::RunBatch forwards its coalesce options to the transient
-// service behind it.
+// Wiring: the planner is the only way a serving worker answers queries.
+// engine::Service workers pull the contiguous run of same-venue queries
+// at the queue front (at most kMaxGroupSize) and answer it through
+// QueryEngine::RunCoalesced; a pulled run of one goes straight to
+// QueryEngine::Run. Grouping only takes already-queued work, so a group
+// never waits for more arrivals, and each member is still shed
+// individually if its deadline passed at pickup. QueryEngine::RunBatch
+// queues its whole batch before its transient service starts, so its
+// workers pull full groups.
 
 #ifndef VIPTREE_ENGINE_EXEC_PLAN_H_
 #define VIPTREE_ENGINE_EXEC_PLAN_H_
@@ -51,15 +52,13 @@ namespace engine {
 struct Query;
 struct Result;
 
-// Tuning of the coalesced execution path. Off by default: coalescing is
-// opt-in at every layer (BatchOptions, ServiceOptions, --coalesce).
-struct CoalesceOptions {
-  bool enabled = false;
-  // Most queue entries a Service worker pulls into one group (clamped to
-  // at least 1). The planner itself never splits a span it is handed, so
-  // direct RunCoalesced callers control group size by span size.
-  size_t window = 64;
-};
+// Most queue entries a Service worker pulls into one group. The planner
+// itself never splits a span it is handed, so direct RunCoalesced callers
+// control group size by span size. On fleetbench 64 serves both
+// workloads as well as 256 (docs/ARCHITECTURE.md), while a group of 64
+// of mall-hotspot's ~10 us queries holds its first answer back by well
+// under a millisecond.
+inline constexpr size_t kMaxGroupSize = 64;
 
 // What the planner did with a batch: groups formed, ascent/descent work
 // shared, and a power-of-two histogram of group sizes. Aggregated into

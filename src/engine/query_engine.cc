@@ -275,7 +275,8 @@ BatchResult QueryEngine::RunBatch(Span<const Query> queries,
 
   // Compatibility shim over the async front-end (engine/service.h): a
   // transient single-venue Service with `threads` workers answers the
-  // whole batch. Each Service worker builds its own QueryEngine over the
+  // whole batch. The batch is queued before Start(), so each worker pulls
+  // full groups (kMaxGroupSize) and the planner groups within each pull. Each Service worker builds its own QueryEngine over the
   // shared bundle, so this never touches the resident worker and
   // concurrent RunBatch calls on one engine stay safe, exactly as before.
   if (n > 0) {
@@ -285,10 +286,6 @@ BatchResult QueryEngine::RunBatch(Span<const Query> queries,
     // The transient workers share this engine's cache (single venue, so
     // the venue-local door ids cannot alias).
     service_options.shared_cache = cache_;
-    // Coalescing rides the same wiring: the whole batch is queued before
-    // Start(), so workers pull full windows and the planner groups within
-    // each pull.
-    service_options.coalesce = options.coalesce;
     Service service(bundle_, service_options);
     std::vector<Request> requests;
     requests.reserve(n);

@@ -105,15 +105,6 @@ struct BatchOptions {
   // is the single implementation of this rule, shared with Service).
   // Thread count is additionally clamped to the batch size.
   size_t num_threads = 1;
-  // Historical knob of the pre-Service sharded scheduler. The service
-  // queue schedules per request, so this no longer affects execution; it
-  // is kept so existing callers compile (results never depended on it).
-  size_t shard_size = 32;
-  // Execution-planner coalescing (engine/exec_plan.h): the transient
-  // service's workers pull up to `coalesce.window` queries into one group
-  // and answer it through the multi-target kernels — identical results,
-  // shared ascents. Off by default.
-  CoalesceOptions coalesce;
 };
 
 struct BatchStats {
@@ -123,7 +114,7 @@ struct BatchStats {
   double queries_per_second = 0.0;
   Summary latency_micros;        // distribution of per-query latencies
   uint64_t visited_nodes = 0;    // summed across the batch
-  // Execution-planner accounting (all zero when coalescing is off).
+  // Execution-planner accounting (engine/exec_plan.h).
   PlanStats plan;
 };
 
@@ -215,8 +206,9 @@ class QueryEngine {
   // concurrency.
   Result Run(const Query& query) const;
 
-  // The batch on the calling thread, in order (the single-threaded
-  // reference RunBatch is compared against).
+  // The batch on the calling thread, in order, one Run per query: the
+  // planner-free reference that RunBatch and the serving path are
+  // compared against.
   std::vector<Result> RunSequential(Span<const Query> queries) const;
 
   // Answers one group of queries on the resident worker through the
@@ -230,8 +222,10 @@ class QueryEngine {
                                    PlanStats* stats = nullptr) const;
 
   // Fans the batch across a worker pool over the shared read-only index —
-  // a compatibility shim over a transient single-venue engine::Service.
-  // results[i] always answers queries[i], independent of scheduling. Every
+  // a compatibility shim over a transient single-venue engine::Service,
+  // whose workers answer what they pull through the execution planner.
+  // results[i] always answers queries[i], bit-identical to RunSequential
+  // and independent of scheduling. Every
   // service worker builds its own engine state (never the resident
   // worker), so concurrent RunBatch calls on one engine are safe.
   BatchResult RunBatch(Span<const Query> queries,

@@ -1,6 +1,7 @@
 #include "engine/service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -10,12 +11,28 @@ namespace engine {
 
 namespace {
 
+class CallbackSink final : public ResponseSink {
+ public:
+  explicit CallbackSink(std::function<void(const Response&)> callback)
+      : callback_(std::move(callback)) {}
+  void Deliver(const Response& response) override { callback_(response); }
+
+ private:
+  std::function<void(const Response&)> callback_;
+};
+
 double MicrosBetween(ServiceClock::time_point from,
                      ServiceClock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
 }  // namespace
+
+std::shared_ptr<ResponseSink> MakeCallbackSink(
+    std::function<void(const Response&)> callback) {
+  VIPTREE_CHECK_MSG(callback != nullptr, "MakeCallbackSink needs a callback");
+  return std::make_shared<CallbackSink>(std::move(callback));
+}
 
 RequestDeadline DeadlineAfterMillis(double millis) {
   return ServiceClock::now() +
@@ -46,15 +63,13 @@ const char* RequestStatusName(RequestStatus status) {
   return "?";
 }
 
-// Shared completion state behind a Ticket (and behind every callback
-// submission, so Drain accounting is uniform). Written exactly once, by
-// the thread that reaches the request's terminal state.
+// Shared completion state behind a Ticket. Written exactly once, by the
+// thread that reaches the request's terminal state.
 struct Ticket::State {
   std::mutex mu;
   std::condition_variable cv;
   bool done = false;
   Response response;
-  ResultCallback callback;  // null for ticket-style submissions
 };
 
 bool Ticket::Done() const {
@@ -134,96 +149,90 @@ void Service::Start() {
 }
 
 Ticket Service::Submit(Request request) {
-  return SubmitInternal(std::move(request), nullptr);
-}
-
-void Service::Submit(Request request, ResultCallback callback) {
-  VIPTREE_CHECK_MSG(callback != nullptr,
-                    "streaming Submit needs a non-null callback");
-  SubmitInternal(std::move(request), std::move(callback));
-}
-
-Ticket Service::SubmitInternal(Request request, ResultCallback callback) {
-  auto state = std::make_shared<Ticket::State>();
-  state->callback = std::move(callback);
-  Item item{std::move(request), ServiceClock::now(), state};
-
-  bool accepted = false;
-  bool was_accepting = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    was_accepting = accepting_;
-    accepted = accepting_ && queue_.size() < options_.queue_capacity;
-    if (accepted) {
-      ++pending_;
-      queue_.push_back(std::move(item));
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++submitted_;
-  }
-  if (accepted) {
-    queue_cv_.notify_one();
-  } else {
-    Response response;
-    response.status = RequestStatus::kRejected;
-    response.tag = item.request.tag;
-    response.venue_id = item.request.venue_id;
-    response.error = was_accepting
-                         ? "request queue is full (capacity " +
-                               std::to_string(options_.queue_capacity) + ")"
-                         : "service is stopped";
-    Finalize(state, std::move(response));
-  }
+  Item item{std::move(request), ServiceClock::now(),
+            std::make_shared<Ticket::State>(), nullptr};
   Ticket ticket;
-  ticket.state_ = std::move(state);
+  ticket.state_ = item.state;
+  Admit(&item, 1);
   return ticket;
 }
 
-std::vector<Ticket> Service::SubmitBatch(std::vector<Request> requests) {
-  std::vector<Ticket> tickets;
-  tickets.reserve(requests.size());
-  std::vector<Item> rejected;
+void Service::Submit(Request request, std::shared_ptr<ResponseSink> sink) {
+  VIPTREE_CHECK_MSG(sink != nullptr, "streaming Submit needs a non-null sink");
+  Item item{std::move(request), ServiceClock::now(), nullptr,
+            std::move(sink)};
+  Admit(&item, 1);
+}
 
+std::vector<Ticket> Service::SubmitBatch(std::vector<Request> requests) {
   const ServiceClock::time_point now = ServiceClock::now();
-  bool was_accepting = false;
+  std::vector<Item> items;
+  items.reserve(requests.size());
+  std::vector<Ticket> tickets(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    items.push_back(Item{std::move(requests[i]), now,
+                         std::make_shared<Ticket::State>(), nullptr});
+    tickets[i].state_ = items.back().state;
+  }
+  Admit(items.data(), items.size());
+  return tickets;
+}
+
+void Service::SubmitBatch(std::vector<Request> requests,
+                          std::shared_ptr<ResponseSink> sink) {
+  VIPTREE_CHECK_MSG(sink != nullptr,
+                    "streaming SubmitBatch needs a non-null sink");
+  const ServiceClock::time_point now = ServiceClock::now();
+  std::vector<Item> items;
+  items.reserve(requests.size());
+  for (Request& request : requests) {
+    items.push_back(Item{std::move(request), now, nullptr, sink});
+  }
+  Admit(items.data(), items.size());
+}
+
+void Service::Admit(Item* items, size_t n) {
   size_t accepted = 0;
+  bool was_accepting = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     was_accepting = accepting_;
-    for (Request& request : requests) {
-      auto state = std::make_shared<Ticket::State>();
-      Ticket ticket;
-      ticket.state_ = state;
-      tickets.push_back(std::move(ticket));
-      Item item{std::move(request), now, std::move(state)};
-      if (accepting_ && queue_.size() < options_.queue_capacity) {
-        ++pending_;
-        ++accepted;
-        queue_.push_back(std::move(item));
-      } else {
-        rejected.push_back(std::move(item));
-      }
+    if (accepting_) {
+      accepted = std::min(n, options_.queue_capacity - queue_.size());
     }
+    for (size_t i = 0; i < accepted; ++i) {
+      queue_.push_back(std::move(items[i]));
+    }
+    pending_ += accepted;
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    submitted_ += requests.size();
+    submitted_ += n;
   }
-  if (accepted > 0) queue_cv_.notify_all();
-  for (Item& item : rejected) {
-    Response response;
+  // One wake per call. A worker turn takes a whole same-venue run, so
+  // other workers are woken only when there is more than one request for
+  // them to split.
+  if (accepted == 1 || (accepted > 1 && num_threads_ == 1)) {
+    queue_cv_.notify_one();
+  } else if (accepted > 1) {
+    queue_cv_.notify_all();
+  }
+  if (accepted == n) return;
+
+  std::vector<Item> rejected(std::make_move_iterator(items + accepted),
+                             std::make_move_iterator(items + n));
+  std::vector<Response> responses(rejected.size());
+  for (size_t i = 0; i < rejected.size(); ++i) {
+    Response& response = responses[i];
     response.status = RequestStatus::kRejected;
-    response.tag = item.request.tag;
-    response.venue_id = item.request.venue_id;
+    response.tag = rejected[i].request.tag;
+    response.venue_id = rejected[i].request.venue_id;
     response.error = was_accepting
                          ? "request queue is full (capacity " +
                                std::to_string(options_.queue_capacity) + ")"
                          : "service is stopped";
-    Finalize(item.state, std::move(response));
   }
-  return tickets;
+  Finalize(&rejected, &responses);
 }
 
 void Service::Drain() {
@@ -247,61 +256,57 @@ void Service::Stop() {
   queue_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
   workers_.clear();
+  if (orphaned.empty()) return;
 
   const ServiceClock::time_point now = ServiceClock::now();
-  for (Item& item : orphaned) {
-    Response response;
+  std::vector<Item> items(std::make_move_iterator(orphaned.begin()),
+                          std::make_move_iterator(orphaned.end()));
+  std::vector<Response> responses(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    Response& response = responses[i];
     response.status = RequestStatus::kCancelled;
-    response.tag = item.request.tag;
-    response.venue_id = item.request.venue_id;
-    response.queue_micros = MicrosBetween(item.enqueued, now);
+    response.tag = items[i].request.tag;
+    response.venue_id = items[i].request.venue_id;
+    response.queue_micros = MicrosBetween(items[i].enqueued, now);
     response.error = "service stopped before the request ran";
-    Finalize(item.state, std::move(response));
   }
-  if (!orphaned.empty()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_ -= orphaned.size();
-    if (pending_ == 0) drain_cv_.notify_all();
-  }
+  Finalize(&items, &responses);
+  std::lock_guard<std::mutex> lock(mu_);
+  pending_ -= items.size();
+  if (pending_ == 0) drain_cv_.notify_all();
 }
 
 void Service::WorkerLoop() {
   // This worker's engines, one per venue it has served: the shared
   // immutable bundle plus this thread's private query scratch.
   std::map<std::string, std::unique_ptr<QueryEngine>> engines;
-  const size_t window = std::max<size_t>(1, options_.coalesce.window);
-  std::vector<Item> batch;
+  std::vector<Item> group;
   for (;;) {
-    batch.clear();
+    group.clear();
     {
       std::unique_lock<std::mutex> lock(mu_);
       queue_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       if (queue_.empty()) break;  // stopping_, and nothing left to do
-      batch.push_back(std::move(queue_.front()));
+      group.push_back(std::move(queue_.front()));
       queue_.pop_front();
-      // Coalescing pull: extend with the contiguous run of already-queued
-      // queries for the same venue, under the same lock hold. An update
-      // (or another venue's request) ends the run, so the per-venue
-      // query/update order a sequential worker would execute is preserved
-      // exactly — queries queued before an update still see the old object
-      // epoch, queries after it the new one.
-      if (options_.coalesce.enabled &&
-          batch.front().request.kind == RequestKind::kQuery) {
-        while (batch.size() < window && !queue_.empty() &&
+      // Extend with the contiguous run of already-queued queries for the
+      // same venue, under the same lock hold. An update (or another
+      // venue's request) ends the run, so the per-venue query/update order
+      // of the queue is preserved exactly — queries queued before an
+      // update still see the old object epoch, queries after it the new
+      // one.
+      if (group.front().request.kind == RequestKind::kQuery) {
+        while (group.size() < kMaxGroupSize && !queue_.empty() &&
                queue_.front().request.kind == RequestKind::kQuery &&
                queue_.front().request.venue_id ==
-                   batch.front().request.venue_id) {
-          batch.push_back(std::move(queue_.front()));
+                   group.front().request.venue_id) {
+          group.push_back(std::move(queue_.front()));
           queue_.pop_front();
         }
       }
     }
-    const size_t count = batch.size();
-    if (count == 1) {
-      Process(std::move(batch.front()), &engines);
-    } else {
-      ProcessGroup(std::move(batch), &engines);
-    }
+    const size_t count = group.size();
+    ServeGroup(&group, &engines);
     {
       std::lock_guard<std::mutex> lock(mu_);
       pending_ -= count;
@@ -310,117 +315,88 @@ void Service::WorkerLoop() {
   }
 }
 
-void Service::Process(
-    Item item, std::map<std::string, std::unique_ptr<QueryEngine>>* engines) {
-  const ServiceClock::time_point start = ServiceClock::now();
-  Response response;
-  response.kind = item.request.kind;
-  response.tag = item.request.tag;
-  response.venue_id = item.request.venue_id;
-  response.queue_micros = MicrosBetween(item.enqueued, start);
-
-  if (start >= item.request.deadline) {
-    // Shed without running: the answer is already too late to matter.
-    response.status = RequestStatus::kDeadlineExceeded;
-    response.error = "deadline passed after " +
-                     std::to_string(response.queue_micros) +
-                     " us in the queue";
-  } else {
-    std::string error;
-    QueryEngine* engine =
-        ResolveEngine(item.request.venue_id, engines, &error);
-    if (engine == nullptr) {
-      response.status = RequestStatus::kVenueNotFound;
-      response.error = std::move(error);
-    } else if (item.request.kind == RequestKind::kUpdateObjects) {
-      // Updates route exactly like queries; the venue's LiveObjectIndex
-      // serializes concurrent updates internally and queries keep reading
-      // their pinned snapshots, so nothing here needs the queue lock.
-      RunUpdate(item.request.delta, engine, &response);
-    } else if (!ValidateQuery(item.request.query, *engine, &error)) {
-      // A server fails the request, never the process: unvalidated input
-      // (serve-mode lines, remote clients) must not reach the engine's
-      // CHECKs or index arrays.
-      response.status = RequestStatus::kInvalidRequest;
-      response.error = std::move(error);
-    } else {
-      response.result = engine->Run(item.request.query);
-      response.status = RequestStatus::kOk;
-    }
-  }
-  Finalize(item.state, std::move(response));
-}
-
-void Service::ProcessGroup(
-    std::vector<Item> items,
+void Service::ServeGroup(
+    std::vector<Item>* items,
     std::map<std::string, std::unique_ptr<QueryEngine>>* engines) {
   const ServiceClock::time_point start = ServiceClock::now();
-  const size_t n = items.size();
+  const size_t n = items->size();
   std::vector<Response> responses(n);
   for (size_t i = 0; i < n; ++i) {
-    responses[i].kind = items[i].request.kind;
-    responses[i].tag = items[i].request.tag;
-    responses[i].venue_id = items[i].request.venue_id;
-    responses[i].queue_micros = MicrosBetween(items[i].enqueued, start);
+    const Request& request = (*items)[i].request;
+    responses[i].kind = request.kind;
+    responses[i].tag = request.tag;
+    responses[i].venue_id = request.venue_id;
+    responses[i].queue_micros = MicrosBetween((*items)[i].enqueued, start);
   }
 
-  // The pull guaranteed one venue, so resolve it once for the group.
+  // Per-item admission: deadline shed at pickup (sharing one `start` —
+  // the moment the worker reached the earliest of them, never later for
+  // the rest) and per-query validation. Only the runnable remainder runs.
+  // The pull guaranteed one venue, so it is resolved once, at the first
+  // member that is not shed (an expired group loads nothing).
+  QueryEngine* engine = nullptr;
   std::string resolve_error;
-  QueryEngine* engine =
-      ResolveEngine(items.front().request.venue_id, engines, &resolve_error);
-
-  // Per-item admission keeps the single-item semantics: deadline shed at
-  // pickup (sharing one `start` — exactly the moment a sequential worker
-  // would have reached the earliest of them, and never later for the
-  // rest) and per-query validation. Only the runnable remainder is
-  // planned.
+  bool resolved = false;
   std::vector<size_t> runnable;
   runnable.reserve(n);
-  std::vector<Query> queries;
-  queries.reserve(n);
   for (size_t i = 0; i < n; ++i) {
+    Request& request = (*items)[i].request;
     Response& response = responses[i];
-    if (start >= items[i].request.deadline) {
+    if (start >= request.deadline) {
+      // Shed without running: the answer is already too late to matter.
       response.status = RequestStatus::kDeadlineExceeded;
       response.error = "deadline passed after " +
                        std::to_string(response.queue_micros) +
                        " us in the queue";
       continue;
     }
+    if (!resolved) {
+      engine = ResolveEngine(request.venue_id, engines, &resolve_error);
+      resolved = true;
+    }
     if (engine == nullptr) {
       response.status = RequestStatus::kVenueNotFound;
       response.error = resolve_error;
-      continue;
-    }
-    std::string error;
-    if (!ValidateQuery(items[i].request.query, *engine, &error)) {
+    } else if (request.kind == RequestKind::kUpdateObjects) {
+      // Updates run alone (they end a pull). The venue's LiveObjectIndex
+      // serializes concurrent updates internally and queries keep reading
+      // their pinned snapshots, so nothing here needs the queue lock.
+      RunUpdate(request.delta, engine, &response);
+    } else if (std::string error;
+               !ValidateQuery(request.query, *engine, &error)) {
+      // A server fails the request, never the process: unvalidated input
+      // (serve-mode lines, remote clients) must not reach the engine's
+      // CHECKs or index arrays.
       response.status = RequestStatus::kInvalidRequest;
       response.error = std::move(error);
-      continue;
+    } else {
+      runnable.push_back(i);
     }
-    runnable.push_back(i);
-    queries.push_back(items[i].request.query);
   }
 
-  if (!runnable.empty()) {
-    PlanStats plan;
+  PlanStats plan;
+  if (runnable.size() == 1) {
+    Response& response = responses[runnable.front()];
+    response.result = engine->Run((*items)[runnable.front()].request.query);
+    response.status = RequestStatus::kOk;
+  } else if (!runnable.empty()) {
+    std::vector<Query> queries;
+    queries.reserve(runnable.size());
+    for (size_t i : runnable) {
+      queries.push_back(std::move((*items)[i].request.query));
+    }
     std::vector<Result> results = engine->RunCoalesced(
         Span<const Query>(queries.data(), queries.size()), &plan);
     for (size_t j = 0; j < runnable.size(); ++j) {
       responses[runnable[j]].result = std::move(results[j]);
       responses[runnable[j]].status = RequestStatus::kOk;
     }
-    if (!plan.empty()) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      plan_stats_.Merge(plan);
-    }
   }
-
-  // Finalize in queue order: streaming callbacks observe the same
-  // delivery order a sequential worker would produce.
-  for (size_t i = 0; i < n; ++i) {
-    Finalize(items[i].state, std::move(responses[i]));
+  if (!plan.empty()) {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    plan_stats_.Merge(plan);
   }
+  Finalize(items, &responses);
 }
 
 size_t Service::WaitAll(const std::vector<Ticket>& tickets) {
@@ -534,32 +510,68 @@ std::shared_ptr<DistanceCache> Service::CacheFor(
   if (entry.cache == nullptr || entry.bundle.lock() != bundle) {
     // First touch, or the registry handed out a fresh bundle instance
     // (eviction + reload): the snapshot file may have changed on disk, so
-    // start a clean cache rather than trust file identity.
+    // start a clean cache rather than trust file identity. A worker still
+    // finishing a group over the old bundle may add a few lookups to the
+    // retired cache after this fold; they go uncounted.
+    if (entry.cache != nullptr) {
+      retired_cache_counters_ += entry.cache->Counters();
+    }
     entry.cache = std::make_shared<DistanceCache>(resolved);
     entry.bundle = bundle;
   }
-  return entry.cache;
-}
-
-void Service::Finalize(const std::shared_ptr<Ticket::State>& state,
-                       Response response) {
-  RecordStats(response);
-  ResultCallback callback;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->response = std::move(response);
-    state->done = true;
-    callback = std::move(state->callback);
+  std::shared_ptr<DistanceCache> cache = entry.cache;
+  // The same residency bound ResolveEngine keeps for engines: past the
+  // registry's cap, drop the caches of venues it has evicted, or the
+  // fleet's cache memory would grow with every venue ever served.
+  const size_t cap =
+      registry_.has_value() ? registry_->max_resident_venues() : 0;
+  if (cap != 0 && venue_caches_.size() > cap) {
+    for (auto it = venue_caches_.begin(); it != venue_caches_.end();) {
+      if (it->first != venue_id && !registry_->IsResident(it->first)) {
+        retired_cache_counters_ += it->second.cache->Counters();
+        it = venue_caches_.erase(it);
+      } else {
+        ++it;
+      }
+    }
   }
-  state->cv.notify_all();
-  // Outside the state lock: callbacks may Submit, allocate, block.
-  // Callback-style submissions expose no Ticket, so reading the stored
-  // response unlocked is safe (done is terminal, nobody else writes).
-  if (callback) callback(state->response);
+  return cache;
 }
 
-void Service::RecordStats(const Response& response) {
-  std::lock_guard<std::mutex> lock(stats_mu_);
+void Service::Finalize(std::vector<Item>* items,
+                       std::vector<Response>* responses) {
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    for (const Response& response : *responses) {
+      RecordStatsLocked(response);
+    }
+  }
+  // Distinct sinks in first-delivery order; a turn touches very few.
+  std::vector<ResponseSink*> sinks;
+  for (size_t i = 0; i < items->size(); ++i) {
+    Item& item = (*items)[i];
+    Response& response = (*responses)[i];
+    if (item.sink != nullptr) {
+      // Outside every service lock: sinks may Submit, allocate, block.
+      item.sink->Deliver(response);
+      if (std::find(sinks.begin(), sinks.end(), item.sink.get()) ==
+          sinks.end()) {
+        sinks.push_back(item.sink.get());
+      }
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> lock(item.state->mu);
+      item.state->response = std::move(response);
+      item.state->done = true;
+    }
+    item.state->cv.notify_all();
+  }
+  // `items` still holds every sink, so the raw pointers are live.
+  for (ResponseSink* sink : sinks) sink->EndOfTurn();
+}
+
+void Service::RecordStatsLocked(const Response& response) {
   switch (response.status) {
     case RequestStatus::kOk:
       if (response.kind == RequestKind::kUpdateObjects) {
@@ -632,6 +644,7 @@ ServiceStats Service::Stats() const {
   stats.plan = plan_stats_;
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    stats.cache = retired_cache_counters_;
     if (options_.shared_cache != nullptr) {
       stats.cache += options_.shared_cache->Counters();
     }
@@ -639,6 +652,7 @@ ServiceStats Service::Stats() const {
       (void)venue;
       stats.cache += entry.cache->Counters();
     }
+    stats.cache_venues = venue_caches_.size();
   }
   return stats;
 }

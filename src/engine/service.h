@@ -2,22 +2,25 @@
 // server" north star calls for. Where QueryEngine::RunBatch makes the
 // caller pre-assemble a whole Span<const Query> and block until the last
 // answer, engine::Service admits work the way a real indoor LBS receives
-// it: one request at a time, tagged with a venue id and a latency budget,
-// answered whenever a worker gets to it.
+// it: request by request (or a socket read's worth at a time), tagged
+// with a venue id and a latency budget, answered whenever a worker gets
+// to it.
 //
 // Lifecycle:
 //
-//           Submit(Request) ──► bounded MPMC queue ──► resident workers
-//                │ rejected                                │
-//                │ (queue full /                           │ deadline past?
-//                │  stopped)                               ▼
-//                ▼                                  Run on the worker's
-//          Ticket completes                         per-venue QueryEngine
-//          immediately                                     │
-//                                                          ▼
-//                                    Ticket (Wait / TryGet / Take) or the
-//                                    streaming ResultCallback, invoked on
-//                                    the worker thread as each completes
+//   Submit / SubmitBatch ──► bounded MPMC queue ──► resident workers
+//        │ rejected          (one lock hold            │ pull the contiguous
+//        │ (queue full /      per call)                │ same-venue query run
+//        │  stopped)                                   ▼ (or one update)
+//        ▼                                      deadline past? shed it;
+//   completes on the                            else RunCoalesced (Run for
+//   calling thread                              a group of one) on the
+//                                               worker's QueryEngine
+//                                                      │
+//                                                      ▼
+//                             Ticket (Wait / TryGet / Take), or the
+//                             submission's ResponseSink: Deliver per
+//                             response in queue order, then one EndOfTurn
 //
 // Threads are created once at Start() and stay resident — no per-call
 // spawn. Each worker keeps its own per-venue QueryEngine (the mutable
@@ -30,17 +33,27 @@
 //     names a venue, resolved through Acquire (lazy first-touch load,
 //     per-entry locking, optional LRU eviction — see venue_registry.h).
 //
+// One execution path: a worker turn takes the queue front and, when it is
+// a query, every query behind it for the same venue up to kMaxGroupSize
+// (engine/exec_plan.h), all in one lock hold, and answers them through
+// the execution planner. An update, or a request for another venue, ends
+// the run, so per-venue query/update order is exactly the queue's; an
+// update always runs alone. Answers are bit-identical to
+// QueryEngine::RunSequential.
+//
 // Deadlines: a request whose deadline has passed when a worker picks it up
 // is completed with kDeadlineExceeded *without running* — under overload
 // the queue sheds exactly the work whose answer nobody is waiting for.
 //
 // Shutdown: Drain() blocks until every accepted request has completed
-// (including callback delivery); Stop() stops accepting, completes still-
-// queued requests with kCancelled, lets in-flight work finish, and joins
-// the workers. The destructor calls Stop().
+// (including sink delivery and EndOfTurn); Stop() stops accepting,
+// completes still-queued requests with kCancelled, lets in-flight work
+// finish, and joins the workers. The destructor calls Stop().
 //
-// Callback contract: callbacks run on worker threads and must not call
-// Drain()/Stop() (deadlock); Submit from a callback is allowed.
+// Sink contract: Deliver and EndOfTurn run on worker threads (or on the
+// submitting thread for admission rejections, and on the Stop caller for
+// cancellations) and must not call Drain()/Stop() (deadlock); Submit from
+// a sink is allowed.
 
 #ifndef VIPTREE_ENGINE_SERVICE_H_
 #define VIPTREE_ENGINE_SERVICE_H_
@@ -171,10 +184,27 @@ class Ticket {
   std::shared_ptr<State> state_;
 };
 
-// Streaming delivery: invoked exactly once per request as it reaches its
-// terminal state — on a worker thread, except for admission rejections,
-// which are delivered synchronously from Submit itself.
-using ResultCallback = std::function<void(const Response&)>;
+// Streaming delivery target of a submission (a network connection, a
+// test recorder). Deliver is invoked exactly once per request as it
+// reaches its terminal state; after each worker turn — and after a
+// submission whose overflow was rejected, or a Stop that cancelled queued
+// work — EndOfTurn is invoked once on every sink that turn delivered to,
+// so a sink can batch its output (one socket send per turn). Every
+// EndOfTurn for a request happens before Drain() can observe it settled.
+// Calls for one sink may come from several workers at once; a sink
+// synchronizes itself.
+class ResponseSink {
+ public:
+  virtual ~ResponseSink() = default;
+  virtual void Deliver(const Response& response) = 0;
+  virtual void EndOfTurn() {}
+};
+
+// A sink that calls `callback` once per response and ignores turn ends:
+// for callers that want a plain per-response callback. One sink may serve
+// many submissions; `callback` must then be safe to call concurrently.
+std::shared_ptr<ResponseSink> MakeCallbackSink(
+    std::function<void(const Response&)> callback);
 
 struct ServiceOptions {
   // Resident worker threads; 0 means hardware_concurrency(), clamped ≥ 1
@@ -197,17 +227,6 @@ struct ServiceOptions {
   // QueryEngine::RunBatch uses this to hand its own cache to the
   // transient service's workers.
   std::shared_ptr<DistanceCache> shared_cache;
-
-  // Execution-planner coalescing (engine/exec_plan.h): with
-  // coalesce.enabled a worker pulls up to coalesce.window contiguous
-  // same-venue queries from the queue front in one lock hold and answers
-  // them as one planned group. Grouping only takes already-queued work —
-  // a group never waits for more arrivals, so no request is delayed past
-  // its deadline by coalescing, and each pulled member whose deadline has
-  // already passed is still shed individually. An update request (or a
-  // request for another venue) ends the pull, so per-venue query/update
-  // ordering is exactly the sequential worker's. Off by default.
-  CoalesceOptions coalesce;
 };
 
 struct VenueCounters {
@@ -236,10 +255,14 @@ struct ServiceStats : BatchStats {
   Summary queue_micros;
   std::map<std::string, VenueCounters> per_venue;
   // Distance-cache counters summed over every cache this service created
-  // or was handed (all zero when caching is off).
+  // or was handed, retired ones included, so they never go backwards (all
+  // zero when caching is off).
   CacheCounters cache;
+  // Per-venue caches held right now; at most the registry's residency cap
+  // when it has one.
+  size_t cache_venues = 0;
   // BatchStats::plan (the execution planner's accounting) is inherited;
-  // it aggregates across every coalesced group any worker ran.
+  // it aggregates across every group any worker ran.
 };
 
 class Service {
@@ -264,14 +287,20 @@ class Service {
   // Admits one request. Returns a completed kRejected ticket when the
   // queue is full or the service has stopped.
   Ticket Submit(Request request);
-  // Streaming overload: no ticket; `callback` is invoked exactly once
-  // with the terminal Response — on a worker thread for accepted
-  // requests, or synchronously on the *calling* thread when the request
-  // is rejected at admission (queue full / stopped), so callbacks must
-  // not assume they never run under the submitter's locks.
-  void Submit(Request request, ResultCallback callback);
-  // Bulk admission under one queue lock; tickets[i] answers requests[i].
+  // Streaming overload: no ticket; `sink` receives the terminal Response
+  // (see ResponseSink) — on a worker thread for accepted requests, or
+  // synchronously on the *calling* thread, followed by EndOfTurn, when
+  // the request is rejected at admission (queue full / stopped), so sinks
+  // must not assume they never run under the submitter's locks.
+  void Submit(Request request, std::shared_ptr<ResponseSink> sink);
+  // Bulk admission under one queue lock and one worker wake;
+  // tickets[i] answers requests[i].
   std::vector<Ticket> SubmitBatch(std::vector<Request> requests);
+  // Bulk streaming admission: the requests queue in order under one lock
+  // hold, every response goes to `sink`, and the requests past the queue
+  // bound are delivered kRejected before this returns.
+  void SubmitBatch(std::vector<Request> requests,
+                   std::shared_ptr<ResponseSink> sink);
 
   // Blocks until every ticket in `tickets` is terminal (invalid
   // default-constructed tickets are skipped) and returns how many
@@ -308,20 +337,21 @@ class Service {
   struct Item {
     Request request;
     ServiceClock::time_point enqueued;
+    // Exactly one is set: ticket submissions complete `state`, streaming
+    // ones deliver to `sink`.
     std::shared_ptr<Ticket::State> state;
+    std::shared_ptr<ResponseSink> sink;
   };
 
-  Ticket SubmitInternal(Request request, ResultCallback callback);
+  // Queues items[0, n) under one lock hold and wakes workers once; the
+  // rest complete kRejected on the calling thread.
+  void Admit(Item* items, size_t n);
   void WorkerLoop();
-  void Process(Item item,
-               std::map<std::string, std::unique_ptr<QueryEngine>>* engines);
-  // Coalesced sibling of Process: one pulled group of same-venue queries
-  // through QueryEngine::RunCoalesced. Per-item deadline shed and
-  // validation keep the single-item semantics; responses finalize in
-  // queue order.
-  void ProcessGroup(
-      std::vector<Item> items,
-      std::map<std::string, std::unique_ptr<QueryEngine>>* engines);
+  // One worker turn: a pulled same-venue query group (or one update) is
+  // resolved once, shed/validated per item, answered through the planner
+  // (Run for a runnable group of one) and finalized in queue order.
+  void ServeGroup(std::vector<Item>* items,
+                  std::map<std::string, std::unique_ptr<QueryEngine>>* engines);
   // Worker-local venue resolution: pins the venue's current bundle behind
   // a per-worker QueryEngine, rebuilt if the registry re-loaded the venue
   // (eviction) since this worker last served it.
@@ -339,11 +369,12 @@ class Service {
   // kInvalidRequest instead of aborting a worker.
   static bool ValidateQuery(const Query& query, const QueryEngine& engine,
                             std::string* error);
-  // Publishes the terminal response: records stats, completes the ticket
-  // state, runs the callback. Does NOT touch pending_ (call sites do).
-  void Finalize(const std::shared_ptr<Ticket::State>& state,
-                Response response);
-  void RecordStats(const Response& response);
+  // Publishes the terminal responses of items[i] (responses[i]): records
+  // their stats under one lock hold, completes tickets and delivers to
+  // sinks in order, then calls EndOfTurn once per distinct sink. Does NOT
+  // touch pending_ (call sites do).
+  void Finalize(std::vector<Item>* items, std::vector<Response>* responses);
+  void RecordStatsLocked(const Response& response);
   // Executes one kUpdateObjects request on a resolved engine, filling
   // status/error/latency into *response.
   static void RunUpdate(const ObjectDelta& delta, QueryEngine* engine,
@@ -387,13 +418,16 @@ class Service {
   // Distance caches handed to worker engines. Venue entries remember the
   // bundle they were built against (weakly, so a cache never pins an
   // evicted bundle) and are replaced when the registry hands out a fresh
-  // instance.
+  // instance. Past the registry's residency cap, entries of venues it has
+  // evicted are dropped. A replaced or dropped cache's counters fold into
+  // retired_cache_counters_ so Stats() stays monotonic.
   mutable std::mutex cache_mu_;
   struct VenueCache {
     std::weak_ptr<const VenueBundle> bundle;
     std::shared_ptr<DistanceCache> cache;
   };
   std::map<std::string, VenueCache> venue_caches_;
+  CacheCounters retired_cache_counters_;
 };
 
 }  // namespace engine

@@ -93,9 +93,9 @@ void ShardServer::Loop() {
     if (!draining && drain_requested_.load(std::memory_order_acquire)) {
       // Drain, phase 1: stop admitting bytes. Close the listener, stop
       // reading request frames, then block until every accepted request
-      // has completed — the callbacks write to sockets or outboxes
-      // themselves, so they never need this thread. Phase 2 (below)
-      // flushes what the sockets could not take.
+      // has completed — workers flush their turns' responses themselves,
+      // so they never need this thread. Phase 2 (below) flushes what the
+      // sockets could not take.
       draining_.store(true, std::memory_order_release);
       listener_.Close();
       service_->Drain();
@@ -126,7 +126,7 @@ void ShardServer::Loop() {
       if (!draining && !conn->poisoned) events |= POLLIN;
       {
         std::lock_guard<std::mutex> lock(conn->mu);
-        if (conn->out_pos < conn->outbox.size()) events |= POLLOUT;
+        if (conn->backlogged) events |= POLLOUT;
       }
       pollfds.push_back({fd, events, 0});
       polled.push_back(conn);
@@ -151,7 +151,7 @@ void ShardServer::Loop() {
       const std::shared_ptr<Connection>& conn = polled[c];
       bool alive = true;
       if (pfd.revents & (POLLERR | POLLNVAL)) alive = false;
-      if (alive && (pfd.revents & POLLOUT)) alive = FlushWrites(conn);
+      if (alive && (pfd.revents & POLLOUT)) alive = FlushWrites(conn.get());
       if (alive && (pfd.revents & (POLLIN | POLLHUP))) {
         alive = ServiceReadable(conn);
       }
@@ -164,8 +164,8 @@ void ShardServer::Loop() {
     }
   }
 
-  // Loop exit: close every socket under its lock so a late response
-  // callback sees `closed` and drops its bytes instead of writing to a
+  // Loop exit: close every socket under its lock so a late worker turn
+  // sees `closed` and drops its bytes instead of writing to a
   // closed (or reused) fd or growing a dead outbox forever.
   for (auto& [fd, conn] : connections_) {
     std::lock_guard<std::mutex> lock(conn->mu);
@@ -192,7 +192,7 @@ void ShardServer::AcceptAll() {
     // against the peer's delayed ACKs stalls pipelined streams.
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<Connection>();
+    auto conn = std::make_shared<Connection>(this);
     conn->sock = Socket(fd);
     connections_.emplace(fd, std::move(conn));
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -213,9 +213,10 @@ bool ShardServer::ServiceReadable(const std::shared_ptr<Connection>& conn) {
     if (static_cast<size_t>(n) < sizeof(chunk)) break;
   }
 
+  std::vector<engine::Request> requests;
   while (std::optional<Frame> frame = conn->decoder.Next()) {
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    HandleFrame(conn, std::move(*frame));
+    HandleFrame(conn.get(), std::move(*frame), &requests);
     if (conn->poisoned) break;
   }
   if (conn->decoder.failed() && !conn->poisoned) {
@@ -223,13 +224,16 @@ bool ShardServer::ServiceReadable(const std::shared_ptr<Connection>& conn) {
     // this connection, then close. Nothing else is affected.
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     conn->poisoned = true;
-    Deliver(conn.get(), EncodeErrorFrame(conn->decoder.error(), 0));
+    conn->Reply(EncodeErrorFrame(conn->decoder.error(), 0));
   }
+  // The requests that arrived before any poison still run; overflow past
+  // the queue bound is answered kRejected from inside this call.
+  if (!requests.empty()) service_->SubmitBatch(std::move(requests), conn);
   return true;
 }
 
-void ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
-                              Frame frame) {
+void ShardServer::HandleFrame(Connection* conn, Frame frame,
+                              std::vector<engine::Request>* requests) {
   switch (frame.type) {
     case FrameType::kRequest: {
       WireRequest request;
@@ -239,79 +243,81 @@ void ShardServer::HandleFrame(const std::shared_ptr<Connection>& conn,
       if (!DecodeRequestPayload(&reader, &request, &error)) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         conn->poisoned = true;
-        Deliver(conn.get(),
-                EncodeErrorFrame("request decode: " + error, frame.tag));
+        conn->Reply(EncodeErrorFrame("request decode: " + error, frame.tag));
         return;
       }
-      engine::Request engine_request = request.ToRequest();
-      engine_request.tag = frame.tag;
-      // The callback runs on a Service worker (or synchronously right here
-      // for admission rejections) and writes the response itself; only
-      // bytes the socket cannot take at once wake the loop.
-      service_->Submit(
-          std::move(engine_request),
-          [this, conn](const engine::Response& response) {
-            if (Deliver(conn.get(),
-                        EncodeResponseFrame(
-                            WireResponse::FromResponse(response),
-                            response.tag))) {
-              wake_.Wake();
-            }
-          });
+      requests->push_back(request.ToRequest());
+      requests->back().tag = frame.tag;
       return;
     }
     case FrameType::kHealthProbe: {
       WireHealth health;
       health.ready = draining_.load(std::memory_order_acquire) ? 0 : 1;
       health.queue_depth = service_->QueueDepth();
-      Deliver(conn.get(), EncodeHealthReplyFrame(health, frame.tag));
+      conn->Reply(EncodeHealthReplyFrame(health, frame.tag));
       return;
     }
     case FrameType::kStatsProbe: {
-      Deliver(conn.get(),
-              EncodeStatsReplyFrame(
-                  WireStats::FromServiceStats(service_->Stats()), frame.tag));
+      conn->Reply(EncodeStatsReplyFrame(
+          WireStats::FromServiceStats(service_->Stats()), frame.tag));
       return;
     }
     default:
       // Reply frames have no business arriving at a server.
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       conn->poisoned = true;
-      Deliver(conn.get(),
-              EncodeErrorFrame(std::string("unexpected ") +
-                                   FrameTypeName(frame.type) +
-                                   " frame at a shard server",
-                               frame.tag));
+      conn->Reply(EncodeErrorFrame(std::string("unexpected ") +
+                                       FrameTypeName(frame.type) +
+                                       " frame at a shard server",
+                                   frame.tag));
       return;
   }
 }
 
-bool ShardServer::Deliver(Connection* conn,
-                          const std::vector<uint8_t>& bytes) {
-  std::lock_guard<std::mutex> lock(conn->mu);
-  if (conn->closed) return false;
-  // Bytes already waiting go first, so a frame is sent directly only from
-  // an empty outbox: per-connection order is the order of Deliver calls.
-  const bool was_empty = conn->out_pos == conn->outbox.size();
-  size_t sent = 0;
-  if (was_empty &&
-      !SendNonBlocking(conn->sock.fd(), bytes.data(), bytes.size(), &sent)) {
-    // Peer gone: drop the frame. The loop sees POLLERR/POLLHUP or EOF on
-    // this socket and closes the connection.
-    return false;
-  }
-  if (sent == bytes.size()) return false;
-  conn->outbox.insert(conn->outbox.end(),
-                      bytes.begin() + static_cast<std::ptrdiff_t>(sent),
-                      bytes.end());
-  // A non-empty outbox is already in (or on its way into) the loop's
-  // POLLOUT set; only the empty -> queued edge needs a wake.
-  return was_empty;
+void ShardServer::Connection::Deliver(const engine::Response& response) {
+  const std::vector<uint8_t> frame = EncodeResponseFrame(
+      WireResponse::FromResponse(response), response.tag);
+  std::lock_guard<std::mutex> lock(mu);
+  if (closed) return;
+  outbox.insert(outbox.end(), frame.begin(), frame.end());
 }
 
-bool ShardServer::FlushWrites(const std::shared_ptr<Connection>& conn) {
+void ShardServer::Connection::EndOfTurn() {
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    if (closed) return;
+    const bool loop_knows = backlogged;
+    // A hard error leaves the bytes queued: the woken loop's POLLOUT flush
+    // fails the same way (or it sees POLLERR/POLLHUP or EOF) and closes.
+    FlushLocked();
+    // Only the edge to a backlog needs a wake; a known backlog is already
+    // in (or on its way into) the loop's POLLOUT set.
+    wake = backlogged && !loop_knows;
+  }
+  if (wake) server->wake_.Wake();
+}
+
+void ShardServer::Connection::Reply(const std::vector<uint8_t>& bytes) {
+  // Loop thread only: it re-reads `backlogged` when it next builds its
+  // poll set, so no wake is needed.
+  std::lock_guard<std::mutex> lock(mu);
+  if (closed) return;
+  outbox.insert(outbox.end(), bytes.begin(), bytes.end());
+  FlushLocked();
+}
+
+bool ShardServer::Connection::FlushLocked() {
+  if (out_pos == outbox.size()) return true;
+  server->sends_.fetch_add(1, std::memory_order_relaxed);
+  const bool ok = FlushOutbox(sock.fd(), &outbox, &out_pos);
+  backlogged = out_pos < outbox.size();
+  return ok;
+}
+
+bool ShardServer::FlushWrites(Connection* conn) {
   std::lock_guard<std::mutex> lock(conn->mu);
-  return FlushOutbox(conn->sock.fd(), &conn->outbox, &conn->out_pos);
+  return conn->FlushLocked();
 }
 
 void ShardServer::CloseConnection(int fd) {

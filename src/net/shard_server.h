@@ -5,18 +5,21 @@
 // worker -> callback lifecycle engine/service.h documents.
 //
 // Threading model. One event-loop thread accepts, reads, decodes, and
-// submits. Writes happen where the bytes are made: a completion callback
-// on a Service worker encodes the response frame and, under the
-// connection's mutex, sends it itself with a non-blocking send when the
-// connection's outbox is empty. Only what the socket cannot take at once
-// (EAGAIN or a short write) goes to the outbox, and a self-pipe wake when
-// the outbox was empty; the loop then flushes it on POLLOUT. A frame that finds bytes
-// already queued is appended behind them, so each connection's responses
-// leave in completion order. A worker never blocks on a slow peer, and the
-// loop closes a socket only under the same mutex, so a worker never writes
-// to a stale fd. The common case therefore costs no thread hop: one send
-// per response, from the worker that answered it.
-//
+// admits: every request frame decoded from one read goes to the Service in
+// one bulk SubmitBatch (one queue-lock hold, one worker wake per read).
+// Writes happen where the bytes are made. The connection is the
+// submission's engine::ResponseSink: a Service worker encodes each
+// response of its turn into the connection's outbox under the
+// connection's mutex, and at the end of the turn flushes the outbox with
+// one non-blocking send — one send per connection per group, not per
+// response. Only when the socket cannot take everything (EAGAIN or a short
+// write) does the worker wake the loop through the self-pipe, once per
+// backlog; the loop then flushes on POLLOUT. Frames append in completion
+// order, so each connection's responses leave in that order. A worker
+// never blocks on a slow peer, and the loop closes a socket only under
+// the same mutex, so a worker never writes to a stale fd. The loop's own
+// replies (health, stats, error frames) append and flush the same way.
+
 // Error containment (the network tier's core promise): a malformed,
 // truncated, or bit-flipped frame — untrusted input — fails *that
 // connection* with a kError frame and a close; the process, the Service,
@@ -28,7 +31,8 @@
 // Drain lifecycle (SIGTERM path): RequestDrain() is async-signal-safe
 // (atomic flag + self-pipe write). The loop then stops accepting, stops
 // reading new frames, runs Service::Drain() — every accepted request
-// completes and its response is sent or queued — flushes every outbox,
+// completes and its worker's end-of-turn flush has sent or queued its
+// response — flushes every outbox,
 // closes, and exits; Wait() returns once the loop is done. Stop() is the
 // impatient sibling: queued requests complete kCancelled and the loop
 // exits without flushing stragglers.
@@ -63,8 +67,8 @@ struct ShardServerOptions {
   // Connections beyond this are accepted and immediately closed, bounding
   // the poll set and per-connection buffer memory.
   size_t max_connections = 256;
-  // Forwarded to the owned engine::Service (workers, queue bound, caching,
-  // coalescing — everything downstream composes with the wire for free).
+  // Forwarded to the owned engine::Service (workers, queue bound, caching
+  // — everything downstream composes with the wire for free).
   engine::ServiceOptions service;
 };
 
@@ -106,21 +110,42 @@ class ShardServer {
   // Observability counters for tests and logs.
   uint64_t connections_accepted() const { return connections_accepted_; }
   uint64_t frames_received() const { return frames_received_; }
+  // Socket flushes that had bytes to write: one per connection per worker
+  // turn, plus the loop's POLLOUT flushes of a backlog and its own
+  // replies. Each is one send call unless the socket takes only part.
+  uint64_t sends() const { return sends_; }
   uint64_t protocol_errors() const { return protocol_errors_; }
 
  private:
-  // One accepted connection. Owned by the loop thread except the
-  // `mu`-guarded write side: response callbacks send on `sock` and append
-  // to the outbox from worker threads, and the loop closes `sock` only
-  // under `mu`.
-  struct Connection {
+  // One accepted connection, and the sink its responses stream into.
+  // Owned by the loop thread except the `mu`-guarded write side: workers
+  // append to the outbox and flush it from their turns, and the loop
+  // closes `sock` only under `mu`.
+  struct Connection : engine::ResponseSink {
+    explicit Connection(ShardServer* owner) : server(owner) {}
+
+    // Encodes the response frame and appends it to the outbox.
+    void Deliver(const engine::Response& response) override;
+    // One send of everything queued; wakes the loop to poll for POLLOUT
+    // when bytes remain and no earlier flush has told it already.
+    void EndOfTurn() override;
+    // Appends one frame and flushes at once (the loop's own replies).
+    void Reply(const std::vector<uint8_t>& bytes);
+    // Sends the unsent outbox once, if any; false on a hard send error
+    // (the peer is gone). Caller holds `mu`.
+    bool FlushLocked();
+
+    ShardServer* const server;
     Socket sock;
     FrameDecoder decoder;
 
     std::mutex mu;
-    std::vector<uint8_t> outbox;  // bytes the socket could not take yet
+    std::vector<uint8_t> outbox;  // bytes not yet handed to the socket
     size_t out_pos = 0;           // flushed prefix of outbox
     bool closed = false;          // loop closed the socket; writes drop
+    // The last flush left bytes queued, and the loop knows: it polls this
+    // connection for POLLOUT until a flush empties the outbox.
+    bool backlogged = false;
     // After a protocol error: flush the kError frame, then close (no
     // further reads).
     bool poisoned = false;
@@ -128,17 +153,15 @@ class ShardServer {
 
   void Loop();
   void AcceptAll();
-  // Reads, decodes, and dispatches every complete frame; returns false if
-  // the connection should be closed (EOF, error, poison without output).
+  // Reads, decodes, and dispatches every complete frame — the requests
+  // among them as one bulk admission; returns false if the connection
+  // should be closed (EOF, error).
   bool ServiceReadable(const std::shared_ptr<Connection>& conn);
-  bool FlushWrites(const std::shared_ptr<Connection>& conn);
-  void HandleFrame(const std::shared_ptr<Connection>& conn, Frame frame);
-  // Writes one frame from any thread: sent directly when nothing is
-  // queued, else (and for any unsent remainder) appended to the outbox.
-  // Returns true when this call left an empty outbox holding bytes, i.e.
-  // the loop must be woken to poll for POLLOUT. Dropped on a closed
-  // connection or a hard send error.
-  static bool Deliver(Connection* conn, const std::vector<uint8_t>& bytes);
+  bool FlushWrites(Connection* conn);
+  // Answers a probe or poisons the connection; a request frame is decoded
+  // into `requests` for the read's bulk admission.
+  void HandleFrame(Connection* conn, Frame frame,
+                   std::vector<engine::Request>* requests);
   void CloseConnection(int fd);
 
   std::unique_ptr<engine::Service> service_;
@@ -155,12 +178,13 @@ class ShardServer {
   std::atomic<bool> stop_requested_{false};
   std::atomic<bool> draining_{false};
 
-  // Loop-thread-owned; callbacks never touch the map (they hold their own
-  // shared_ptr<Connection>).
+  // Loop-thread-owned; workers never touch the map (queued requests hold
+  // their own shared_ptr<Connection>).
   std::map<int, std::shared_ptr<Connection>> connections_;
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> frames_received_{0};
+  std::atomic<uint64_t> sends_{0};
   std::atomic<uint64_t> protocol_errors_{0};
 };
 

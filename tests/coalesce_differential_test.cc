@@ -1,16 +1,17 @@
-// Execution-planner differential sweep (engine/exec_plan.h): coalesced
-// execution must be bit-identical to the sequential reference across 24
-// seeded random venues — the planner only ever *shares* work (one descent
-// per distinct source, one leaf Dijkstra per same-leaf source group, one
-// search per duplicated kNN), it never changes a single answer.
+// Execution-planner differential sweep (engine/exec_plan.h): planner-
+// served execution must be bit-identical to the planner-free sequential
+// reference (QueryEngine::RunSequential / Run) across 24 seeded random
+// venues — the planner only ever *shares* work (one descent per distinct
+// source, one leaf Dijkstra per same-leaf source group, one search per
+// duplicated kNN), it never changes a single answer.
 //
 // Three layers are swept:
-//   1. QueryEngine::RunBatch with BatchOptions::coalesce, single- and
-//      multi-threaded, against RunSequential;
-//   2. a one-worker coalescing Service fed queries with interleaved live
-//      object updates, against a twin engine applying the same stream
-//      sequentially (updates are group barriers, so epoch visibility must
-//      be exactly the submission order's);
+//   1. QueryEngine::RunBatch, single- and multi-threaded, against
+//      RunSequential;
+//   2. a one-worker Service fed queries with interleaved live object
+//      updates, against a twin engine applying the same stream one Run at
+//      a time (updates are group barriers, so epoch visibility must be
+//      exactly the submission order's);
 //   3. VIPDistanceQuery::DistanceMulti directly, on a same-leaf-heavy
 //      pair set, against per-pair Distance.
 //
@@ -119,8 +120,6 @@ TEST_P(CoalesceDifferentialTest, CoalescedRunBatchMatchesSequential) {
   for (const size_t threads : {size_t{1}, size_t{3}}) {
     eng::BatchOptions options;
     options.num_threads = threads;
-    options.coalesce.enabled = true;
-    options.coalesce.window = queries.size();  // whole-batch windows
     const eng::BatchResult batch = engine.RunBatch(
         Span<const eng::Query>(queries.data(), queries.size()), options);
     ASSERT_EQ(batch.results.size(), expected.size());
@@ -128,8 +127,9 @@ TEST_P(CoalesceDifferentialTest, CoalescedRunBatchMatchesSequential) {
       ExpectSameResult(expected[i], batch.results[i], seed, i);
     }
     if (threads == 1) {
-      // One worker pulled the whole batch: on a 3-source skew the planner
-      // must actually form groups and share source expansions.
+      // One worker pulled the whole batch (48 <= kMaxGroupSize): on a
+      // 3-source skew the planner must actually form groups and share
+      // source expansions.
       const eng::PlanStats& plan = batch.stats.plan;
       EXPECT_GT(plan.groups, 0u) << "seed " << seed;
       EXPECT_GT(plan.coalesced_queries, plan.groups) << "seed " << seed;
@@ -159,9 +159,8 @@ TEST_P(CoalesceDifferentialTest, CoalescingServiceMatchesSequentialUpdates) {
   eng::QueryEngine reference(reference_bundle);
 
   // The request stream: skewed queries with a live-object move every 6th
-  // slot. With one worker and coalescing on, updates must act as window
-  // barriers — every query still sees exactly the epochs the submission
-  // order implies.
+  // slot. With one worker, updates must act as group barriers — every
+  // query still sees exactly the epochs the submission order implies.
   Rng rng(seed ^ 0xB1EED);
   const std::vector<eng::Query> queries =
       SkewedQueries(service_bundle->venue(), 36, rng);
@@ -198,8 +197,6 @@ TEST_P(CoalesceDifferentialTest, CoalescingServiceMatchesSequentialUpdates) {
   eng::ServiceOptions options;
   options.num_threads = 1;  // submission order IS execution order
   options.queue_capacity = steps.size();
-  options.coalesce.enabled = true;
-  options.coalesce.window = 8;
   eng::Service service(service_bundle, options);
   std::vector<eng::Ticket> tickets;
   for (const Step& step : steps) {

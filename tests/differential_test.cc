@@ -175,7 +175,7 @@ TEST_P(DifferentialTest, BatchMatchesSequential) {
 
   const std::vector<eng::Result> sequential = engine.RunSequential(batch);
   const eng::BatchResult batched =
-      engine.RunBatch(batch, {/*num_threads=*/4, /*shard_size=*/8});
+      engine.RunBatch(batch, {/*num_threads=*/4});
 
   ASSERT_EQ(batched.results.size(), sequential.size());
   EXPECT_EQ(batched.stats.num_queries, batch.size());

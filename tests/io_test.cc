@@ -613,7 +613,7 @@ TEST_F(SnapshotRejectionTest, DefaultSaveLoadsZeroCopy) {
 // MmapArena mapping and page-residency control.
 // ---------------------------------------------------------------------------
 
-TEST(MmapArenaPolicyTest, EveryPolicyMapsAndReadsIdenticalBytes) {
+TEST(MmapArenaPolicyTest, MapReadsTheFileBytes) {
   const std::string path = TempPath("arena_policy");
   std::vector<uint8_t> payload(4096 * 3 + 17);
   for (size_t i = 0; i < payload.size(); ++i) {
@@ -666,7 +666,7 @@ TEST(MmapArenaPolicyTest, HeapFallbackIsAlignedAndDropIsANoop) {
   std::remove(path.c_str());
 }
 
-TEST(MmapArenaPolicyTest, RegistryEvictionDropsPagesUnderDontneedPolicy) {
+TEST(MmapArenaPolicyTest, RegistryEvictionDropsPagesHeldBundleStillAnswers) {
   // End-to-end: a registry serves a venue, evicts it (dropping its mapped
   // pages) while a caller still holds the bundle, and the outstanding
   // bundle keeps answering (pages re-fault on demand).

@@ -5,9 +5,10 @@
 // randomized bit-flip and truncation fuzz (clean error, never a crash),
 // a live ShardServer fed garbage over real sockets — the per-connection
 // error containment the tier promises for untrusted input — the shared
-// outbox flush (order and compaction over a socketpair), and a slow reader
-// whose stalled socket pushes the shard's worker-side sends onto the
-// outbox.
+// outbox flush (order and compaction over a socketpair), a pipelined
+// burst answered in planner groups with one send per group, and a slow
+// reader whose stalled socket pushes the shard's end-of-turn flushes onto
+// the outbox.
 
 #include "net/wire.h"
 
@@ -560,6 +561,98 @@ TEST_F(NetServerTest, PipelinedRequestsAllComeBack) {
   server.Stop();
 }
 
+// A pipelined burst written with one client send lands in one shard read:
+// one bulk admission, then a one-worker shard answers it in planner groups
+// and flushes each group with one send. Every tag must come back once, in
+// order, bit-identical to RunSequential, in fewer sends than responses.
+TEST_F(NetServerTest, PipelinedBurstIsAnsweredInGroupsWithFewerSends) {
+  constexpr size_t kCount = 200;
+  Rng rng(0xB0057);
+  std::vector<IndoorPoint> hot;  // a few shared sources, so groups share
+  for (int i = 0; i < 4; ++i) {
+    hot.push_back(synth::RandomIndoorPoint(Bundle()->venue(), rng));
+  }
+  std::vector<eng::Query> queries;
+  for (size_t i = 0; i < kCount; ++i) {
+    const IndoorPoint& source = hot[rng.UniformIndex(hot.size())];
+    const IndoorPoint target = synth::RandomIndoorPoint(Bundle()->venue(), rng);
+    switch (i % 4) {
+      case 0: queries.push_back(eng::Query::Distance(source, target)); break;
+      case 1: queries.push_back(eng::Query::Knn(source, 3)); break;
+      case 2: queries.push_back(eng::Query::Path(source, target)); break;
+      default: queries.push_back(eng::Query::Range(source, 80.0)); break;
+    }
+  }
+  const eng::QueryEngine engine(Bundle());
+  const std::vector<eng::Result> expected = engine.RunSequential(
+      Span<const eng::Query>(queries.data(), queries.size()));
+
+  net::ShardServerOptions options;
+  options.service.num_threads = 1;
+  net::ShardServer server(Bundle(), options);
+  ASSERT_TRUE(server.Start().ok());
+  net::Socket sock;
+  ASSERT_TRUE(
+      net::ConnectTcp(":" + std::to_string(server.port()), 5000.0, &sock)
+          .ok());
+
+  std::vector<uint8_t> burst;
+  for (size_t i = 0; i < kCount; ++i) {
+    net::WireRequest request;
+    request.query = queries[i];
+    const std::vector<uint8_t> frame = net::EncodeRequestFrame(request, i);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_EQ(::send(sock.fd(), burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  net::FrameDecoder decoder;
+  uint64_t next_tag = 0;
+  std::vector<uint8_t> chunk(64 * 1024);
+  while (next_tag < kCount) {
+    pollfd pfd{sock.fd(), POLLIN, 0};
+    ASSERT_GT(::poll(&pfd, 1, 30000), 0) << "stalled before tag " << next_tag;
+    const ssize_t n = ::recv(sock.fd(), chunk.data(), chunk.size(), 0);
+    ASSERT_GT(n, 0) << "closed before tag " << next_tag;
+    decoder.Feed(chunk.data(), static_cast<size_t>(n));
+    while (std::optional<net::Frame> frame = decoder.Next()) {
+      ASSERT_EQ(frame->type, net::FrameType::kResponse);
+      ASSERT_EQ(frame->tag, next_tag);
+      io::Reader reader(
+          Span<const uint8_t>(frame->payload.data(), frame->payload.size()));
+      net::WireResponse response;
+      std::string error;
+      ASSERT_TRUE(net::DecodeResponsePayload(&reader, &response, &error))
+          << error;
+      ASSERT_TRUE(response.ok()) << response.error;
+      const eng::Result& want = expected[next_tag];
+      EXPECT_EQ(response.result.type, want.type) << next_tag;
+      EXPECT_EQ(response.result.distance, want.distance) << next_tag;
+      EXPECT_EQ(response.result.doors, want.doors) << next_tag;
+      ASSERT_EQ(response.result.objects.size(), want.objects.size());
+      for (size_t j = 0; j < want.objects.size(); ++j) {
+        EXPECT_EQ(response.result.objects[j].object, want.objects[j].object);
+        EXPECT_EQ(response.result.objects[j].distance,
+                  want.objects[j].distance);
+      }
+      EXPECT_EQ(response.result.visited_nodes, want.visited_nodes)
+          << next_tag;
+      ++next_tag;
+    }
+    ASSERT_FALSE(decoder.failed()) << decoder.error();
+  }
+  EXPECT_EQ(decoder.buffered(), 0u);
+  pollfd pfd{sock.fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&pfd, 1, 100), 0) << "a response came back twice";
+
+  // Responses leave one flush per worker turn, not one per response.
+  EXPECT_EQ(server.frames_received(), kCount);
+  EXPECT_GE(server.sends(), 1u);
+  EXPECT_LT(server.sends(), kCount);
+  EXPECT_GT(server.ServiceStatsNow().plan.groups, 0u);
+  server.Stop();
+}
+
 TEST_F(NetServerTest, GarbageBytesPoisonOnlyThatConnection) {
   net::ShardServer server(Bundle());
   ASSERT_TRUE(server.Start().ok());
@@ -703,7 +796,7 @@ TEST_F(NetServerTest, DrainAnswersInFlightThenCloses) {
 }
 
 // A client that stops reading. Its small receive window stalls the shard's
-// socket, so the worker's direct send meets EAGAIN and later responses
+// socket, so a worker's end-of-turn flush meets EAGAIN and later responses
 // queue in the outbox behind the remainder. The client then reads while
 // the worker is still answering, so the loop's flushes race fresh worker
 // sends. Every tag must come back exactly once, in submission order (one

@@ -1,8 +1,10 @@
 // engine::Service — the async request/response serving front-end: resident
 // worker pool, bounded queue admission, deadline shedding, clean shutdown
-// (Drain/Stop with queued and in-flight work), streaming callback delivery,
-// multi-venue routing through a registry, and a 24-seed differential sweep
-// asserting Submit answers bit-identically to QueryEngine::RunSequential.
+// (Drain/Stop with queued and in-flight work), streaming sink delivery
+// (single and bulk admission, one EndOfTurn per touched sink per turn),
+// multi-venue routing through a registry, distance-cache counters under
+// registry eviction, and a 24-seed differential sweep asserting Submit
+// answers bit-identically to QueryEngine::RunSequential.
 
 #include "engine/service.h"
 
@@ -71,6 +73,41 @@ class ServiceTest : public ::testing::Test {
 };
 
 std::shared_ptr<const eng::VenueBundle>* ServiceTest::bundle_ = nullptr;
+
+// A streaming sink that records every delivery and counts turn ends.
+class RecordingSink : public eng::ResponseSink {
+ public:
+  struct Delivery {
+    uint64_t tag = 0;
+    eng::RequestStatus status = eng::RequestStatus::kOk;
+    std::string error;
+    std::thread::id thread;
+  };
+
+  void Deliver(const eng::Response& response) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    deliveries_.push_back({response.tag, response.status, response.error,
+                           std::this_thread::get_id()});
+  }
+  void EndOfTurn() override {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++turns_;
+  }
+
+  std::vector<Delivery> deliveries() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return deliveries_;
+  }
+  size_t turns() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return turns_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Delivery> deliveries_;
+  size_t turns_ = 0;
+};
 
 TEST_F(ServiceTest, TicketsCompleteAndCarryResults) {
   eng::ServiceOptions options;
@@ -248,33 +285,105 @@ TEST_F(ServiceTest, StopWithInFlightWorkLeavesEveryTicketTerminal) {
 TEST_F(ServiceTest, CallbacksStreamOnWorkerThreadsInQueueOrder) {
   eng::Service service(Bundle(), {});  // one worker => FIFO delivery
 
-  std::mutex mu;
-  std::vector<uint64_t> delivered;
-  std::vector<std::thread::id> delivery_threads;
+  const auto sink = std::make_shared<RecordingSink>();
   const std::vector<eng::Query> queries = SomeQueries(20, 8);
   for (size_t i = 0; i < queries.size(); ++i) {
     eng::Request request;
     request.query = queries[i];
     request.tag = i;
-    service.Submit(std::move(request), [&](const eng::Response& response) {
-      std::lock_guard<std::mutex> lock(mu);
-      delivered.push_back(response.tag);
-      delivery_threads.push_back(std::this_thread::get_id());
-    });
+    service.Submit(std::move(request), sink);
   }
   service.Start();
   service.Drain();
 
-  // Drain happens-after every callback, so no lock is needed below.
+  // Drain happens-after every delivery and every EndOfTurn.
+  const std::vector<RecordingSink::Delivery> delivered = sink->deliveries();
   ASSERT_EQ(delivered.size(), queries.size());
   for (size_t i = 0; i < delivered.size(); ++i) {
-    EXPECT_EQ(delivered[i], i) << "single-worker delivery must be FIFO";
+    EXPECT_EQ(delivered[i].tag, i) << "single-worker delivery must be FIFO";
+    EXPECT_EQ(delivered[i].status, eng::RequestStatus::kOk);
+    EXPECT_NE(delivered[i].thread, std::this_thread::get_id())
+        << "deliveries run on worker threads, not the submitter";
   }
-  for (const std::thread::id& id : delivery_threads) {
-    EXPECT_NE(id, std::this_thread::get_id())
-        << "callbacks run on worker threads, not the submitter";
-  }
+  // Queued before Start, the 20 same-venue queries are one worker turn.
+  EXPECT_EQ(sink->turns(), 1u);
   service.Stop();
+}
+
+TEST_F(ServiceTest, BulkStreamingAdmissionDeliversInQueueOrder) {
+  eng::ServiceOptions options;
+  options.queue_capacity = 6;
+  eng::Service service(Bundle(), options);  // one worker, not started yet
+
+  const auto sink = std::make_shared<RecordingSink>();
+  const std::vector<eng::Query> queries = SomeQueries(10, 12);
+  std::vector<eng::Request> requests;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    eng::Request request;
+    request.query = queries[i];
+    request.tag = i;
+    requests.push_back(std::move(request));
+  }
+  service.SubmitBatch(std::move(requests), sink);
+
+  // Overflow is answered before SubmitBatch returns, on this thread, in
+  // queue order, and closed with one EndOfTurn.
+  std::vector<RecordingSink::Delivery> delivered = sink->deliveries();
+  ASSERT_EQ(delivered.size(), 4u);
+  for (size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].tag, 6 + i);
+    EXPECT_EQ(delivered[i].status, eng::RequestStatus::kRejected);
+    EXPECT_NE(delivered[i].error.find("queue is full"), std::string::npos);
+    EXPECT_EQ(delivered[i].thread, std::this_thread::get_id());
+  }
+  EXPECT_EQ(sink->turns(), 1u);
+  EXPECT_EQ(service.QueueDepth(), 6u);
+
+  service.Start();
+  service.Drain();
+  delivered = sink->deliveries();
+  ASSERT_EQ(delivered.size(), 10u);
+  for (size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(delivered[4 + i].tag, i);
+    EXPECT_EQ(delivered[4 + i].status, eng::RequestStatus::kOk);
+  }
+  // The six admitted queries were one group: one turn, one EndOfTurn.
+  EXPECT_EQ(sink->turns(), 2u);
+  const eng::ServiceStats stats = service.Stats();
+  EXPECT_EQ(stats.submitted, 10u);
+  EXPECT_EQ(stats.rejected, 4u);
+  EXPECT_EQ(stats.num_queries, 6u);
+  service.Stop();
+
+  // Stop cancels what is still queued, in queue order, with one EndOfTurn;
+  // later admissions are rejected as stopped.
+  eng::Service idle(Bundle(), options);  // never started
+  const auto cancelled_sink = std::make_shared<RecordingSink>();
+  std::vector<eng::Request> more;
+  for (size_t i = 0; i < 3; ++i) {
+    eng::Request request;
+    request.query = queries[i];
+    request.tag = 100 + i;
+    more.push_back(std::move(request));
+  }
+  idle.SubmitBatch(std::move(more), cancelled_sink);
+  EXPECT_TRUE(cancelled_sink->deliveries().empty());
+  idle.Stop();
+  delivered = cancelled_sink->deliveries();
+  ASSERT_EQ(delivered.size(), 3u);
+  for (size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_EQ(delivered[i].tag, 100 + i);
+    EXPECT_EQ(delivered[i].status, eng::RequestStatus::kCancelled);
+  }
+  EXPECT_EQ(cancelled_sink->turns(), 1u);
+  eng::Request late;
+  late.query = queries[0];
+  idle.SubmitBatch({late}, cancelled_sink);
+  delivered = cancelled_sink->deliveries();
+  ASSERT_EQ(delivered.size(), 4u);
+  EXPECT_EQ(delivered.back().status, eng::RequestStatus::kRejected);
+  EXPECT_NE(delivered.back().error.find("stopped"), std::string::npos);
+  EXPECT_EQ(cancelled_sink->turns(), 2u);
 }
 
 TEST_F(ServiceTest, BoundedQueueRejectsOverflow) {
@@ -725,6 +834,83 @@ TEST(ServiceRegistryTest, UpdatesRouteToTheNamedVenueOnly) {
   EXPECT_EQ(stats.per_venue.at(ids[0]).updated, 3u);
   EXPECT_EQ(stats.per_venue.count(ids[1]), 0u);
   EXPECT_EQ(stats.per_venue.at("venue-404").failed, 1u);
+  service.Stop();
+
+  for (const std::string& id : ids) {
+    std::remove((dir + "/" + id + ".vipsnap").c_str());
+  }
+  std::remove(manifest.c_str());
+  ::rmdir(dir.c_str());
+}
+
+// With the cache on and a residency cap of one, alternating two venues
+// evicts and reloads each on every switch, so every switch replaces a
+// venue's cache. The summed counters must still only grow, and the service
+// must hold no more per-venue caches than the registry holds venues.
+TEST(ServiceRegistryTest, CacheCountersStayMonotonicAndBoundedUnderEviction) {
+  const char* tmp = std::getenv("TMPDIR");
+  if (tmp == nullptr || tmp[0] == '\0') tmp = "/tmp";
+  const std::string dir = std::string(tmp) + "/viptree_service_cache_" +
+                          std::to_string(::getpid());
+  ::mkdir(dir.c_str(), 0755);
+  const std::string manifest = dir + "/registry.txt";
+
+  constexpr int kRounds = 6;
+  std::vector<std::string> ids;
+  // Per venue, one (source, target) pair per round.
+  std::vector<std::vector<std::pair<IndoorPoint, IndoorPoint>>> pairs;
+  for (const uint64_t seed : {uint64_t{41}, uint64_t{43}}) {
+    Venue venue = testing::RandomSynthVenue(seed);
+    Rng rng(seed);
+    std::vector<IndoorPoint> objects = synth::PlaceObjects(venue, 5, rng);
+    pairs.emplace_back();
+    for (int round = 0; round < kRounds; ++round) {
+      pairs.back().emplace_back(synth::RandomIndoorPoint(venue, rng),
+                                synth::RandomIndoorPoint(venue, rng));
+    }
+    const eng::VenueBundle bundle =
+        eng::VenueBundle::Build(std::move(venue), std::move(objects));
+    const std::string id = "venue-" + std::to_string(seed);
+    ASSERT_TRUE(bundle.Save(dir + "/" + id + ".vipsnap").ok());
+    ASSERT_TRUE(eng::VenueRegistry::UpsertManifestEntry(manifest, id,
+                                                        id + ".vipsnap")
+                    .ok());
+    ids.push_back(id);
+  }
+
+  std::string error;
+  eng::RegistryOptions registry_options;
+  registry_options.max_resident_venues = 1;
+  std::optional<eng::VenueRegistry> registry = eng::VenueRegistry::Open(
+      manifest, &error, eng::VenueBundle::LoadOptions{}, registry_options);
+  ASSERT_TRUE(registry.has_value()) << error;
+  eng::ServiceOptions options;
+  options.cache.enabled = true;
+  eng::Service service(std::move(*registry), options);
+  service.Start();
+
+  CacheCounters last;
+  for (int round = 0; round < kRounds; ++round) {
+    for (size_t v = 0; v < ids.size(); ++v) {
+      // The same pair twice: the second lookup of each pair can hit.
+      const auto& [a, b] = pairs[v][round];
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        eng::Request request;
+        request.venue_id = ids[v];
+        request.query = eng::Query::Path(a, b);
+        ASSERT_TRUE(service.Submit(std::move(request)).Wait().ok());
+      }
+      const eng::ServiceStats stats = service.Stats();
+      EXPECT_GE(stats.cache.hits, last.hits) << "round " << round;
+      EXPECT_GE(stats.cache.misses, last.misses) << "round " << round;
+      EXPECT_GE(stats.cache.insertions, last.insertions) << "round " << round;
+      EXPECT_GE(stats.cache.evictions, last.evictions) << "round " << round;
+      EXPECT_LE(stats.cache_venues, 1u) << "round " << round;
+      last = stats.cache;
+    }
+  }
+  EXPECT_GT(last.lookups(), 0u);
+  EXPECT_GT(last.hits, 0u);
   service.Stop();
 
   for (const std::string& id : ids) {

@@ -87,10 +87,6 @@ struct Args {
   // the cache only pays off on workloads that repeat door pairs.
   bool cache = false;
   size_t cache_capacity = DistanceCacheOptions{}.capacity;
-  // Execution-planner coalescing (engine/exec_plan.h). Off by default:
-  // batch mode forwards it to RunBatch, serve mode to the Service workers.
-  bool coalesce = false;
-  size_t coalesce_window = eng::CoalesceOptions{}.window;
 };
 
 void Usage(const char* argv0) {
@@ -100,14 +96,12 @@ void Usage(const char* argv0) {
       "          [--queries N] [--threads T] [--seed S]\n"
       "          [--mix mixed|distance|path|knn|range]\n"
       "          [--cache] [--cache-capacity N]\n"
-      "          [--coalesce] [--coalesce-window K]\n"
       "          [--emit-workload [--updates U]]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --serve\n"
       "          [--input FILE] [--threads T] [--deadline-ms D]\n"
       "          [--queue-capacity C] [--cache] [--cache-capacity N]\n"
-      "          [--coalesce] [--coalesce-window K]\n"
       "       %s (--snapshot PATH | --registry MANIFEST) --listen PORT\n"
-      "          [--threads T] [--queue-capacity C] [--cache] [--coalesce]\n"
+      "          [--threads T] [--queue-capacity C] [--cache]\n"
       "       %s --connect HOST:PORT [--input FILE] [--deadline-ms D]\n"
       "       %s --registry MANIFEST --list-venues\n"
       "\n"
@@ -130,12 +124,11 @@ void Usage(const char* argv0) {
       "cross-request door-pair distance cache (results are bit-identical\n"
       "with and without it; least-recently-used eviction);\n"
       "--cache-capacity 0 (default) sizes the cache from the venue's\n"
-      "door count. --coalesce turns on the execution planner: workers\n"
-      "pull up to --coalesce-window K (default %zu) queued same-venue\n"
-      "queries into one group and share their source ascents through the\n"
-      "multi-target kernels — results stay bit-identical to sequential\n"
-      "execution.\n",
-      argv0, argv0, argv0, argv0, argv0, eng::CoalesceOptions{}.window);
+      "door count. Every mode answers through the execution planner:\n"
+      "workers pull up to %zu queued same-venue queries into one group and\n"
+      "share their source ascents through the multi-target kernels —\n"
+      "results stay bit-identical to sequential execution.\n",
+      argv0, argv0, argv0, argv0, argv0, eng::kMaxGroupSize);
 }
 
 bool Parse(int argc, char** argv, Args* args) {
@@ -206,12 +199,6 @@ bool Parse(int argc, char** argv, Args* args) {
       if ((v = value()) == nullptr) return false;
       args->cache_capacity = static_cast<size_t>(std::atol(v));
       args->cache = true;
-    } else if (flag == "--coalesce") {
-      args->coalesce = true;
-    } else if (flag == "--coalesce-window") {
-      if ((v = value()) == nullptr) return false;
-      args->coalesce_window = static_cast<size_t>(std::atol(v));
-      args->coalesce = true;  // naming a window implies --coalesce
     } else if (flag == "--help" || flag == "-h") {
       Usage(argv[0]);
       return false;
@@ -290,13 +277,6 @@ DistanceCacheOptions CacheOptionsFrom(const Args& args) {
   return options;
 }
 
-eng::CoalesceOptions CoalesceOptionsFrom(const Args& args) {
-  eng::CoalesceOptions options;
-  options.enabled = args.coalesce;
-  options.window = args.coalesce_window;
-  return options;
-}
-
 // ---------------------------------------------------------------------------
 // Signal handling (the --serve / --listen lifecycles). SIGINT/SIGTERM ask
 // for a graceful drain: the serve loop stops reading and drains the
@@ -326,7 +306,7 @@ void InstallDrainSignalHandlers() {
 }
 
 void PrintPlanStats(const eng::PlanStats& plan) {
-  std::printf("  coalesce      %10llu groups, %llu queries grouped, "
+  std::printf("  planner       %10llu groups, %llu queries grouped, "
               "%llu ascents computed, %llu reused\n",
               static_cast<unsigned long long>(plan.groups),
               static_cast<unsigned long long>(plan.coalesced_queries),
@@ -460,7 +440,6 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   options.num_threads = args.threads;
   options.queue_capacity = args.queue_capacity;
   options.cache = CacheOptionsFrom(args);
-  options.coalesce = CoalesceOptionsFrom(args);
 
   std::unique_ptr<eng::Service> service;
   const bool with_venue = registry.has_value();
@@ -560,7 +539,7 @@ int ServeMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
     std::printf("  update p99    %10.2f us\n", stats.update_micros.p99);
   }
   if (args.cache) PrintCacheStats(stats.cache);
-  if (args.coalesce) PrintPlanStats(stats.plan);
+  PrintPlanStats(stats.plan);
   for (const auto& [venue_id, counters] : stats.per_venue) {
     std::printf("  venue %-12s %llu ok, %llu updates, %llu expired, "
                 "%llu failed\n",
@@ -597,7 +576,6 @@ int ListenMain(const Args& args, std::optional<eng::VenueRegistry> registry) {
   options.service.num_threads = args.threads;
   options.service.queue_capacity = args.queue_capacity;
   options.service.cache = CacheOptionsFrom(args);
-  options.service.coalesce = CoalesceOptionsFrom(args);
 
   std::unique_ptr<net::ShardServer> server;
   std::string error;
@@ -868,7 +846,6 @@ int main(int argc, char** argv) {
   const std::vector<eng::Query> queries = MakeWorkload(*engine, args);
   eng::BatchOptions batch;
   batch.num_threads = args.threads;
-  batch.coalesce = CoalesceOptionsFrom(args);
   const eng::BatchResult run = engine->RunBatch(queries, batch);
 
   const eng::BatchStats& stats = run.stats;
@@ -883,7 +860,7 @@ int main(int argc, char** argv) {
   std::printf("  latency max   %10.2f us\n", stats.latency_micros.max);
   std::printf("  visited nodes %10llu\n",
               static_cast<unsigned long long>(stats.visited_nodes));
-  if (args.coalesce) PrintPlanStats(stats.plan);
+  PrintPlanStats(stats.plan);
   if (args.cache) {
     PrintCacheStats(engine->distance_cache()->Counters());
   }
